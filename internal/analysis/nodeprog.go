@@ -10,8 +10,9 @@ import (
 )
 
 // runNodeprog enforces the simnet concurrency contract on node programs:
-// closures handed to Simulate/SimulateLoads/(*Engine).Run run one goroutine
-// per node, and all prologues and epilogues execute concurrently. Any write
+// closures handed to Simulate/SimulateLoads/(*Engine).Run run once per
+// node, and backends may run different nodes' code concurrently (livenet
+// always, simnet's sharded scheduler across shards). Any write
 // to captured state is therefore a data race unless it is partitioned by
 // the node's identity — indexed by a value derived from nd.ID(), or
 // dominated by an `if nd.ID() == ...` single-writer guard.

@@ -17,8 +17,9 @@
 //
 // The ownership and concurrency contracts documented on Msg, Node.Send and
 // Node.Recycle are part of this interface, not simnet implementation
-// detail: every backend transfers message buffers on send and runs node
-// prologues/epilogues concurrently, and the cubevet passes (sendown,
+// detail: every backend transfers message buffers on send and may run node
+// code of different nodes concurrently (livenet always does, simnet's
+// sharded scheduler across shards), and the cubevet passes (sendown,
 // poolretain, nodeprog) enforce the contracts against any node-shaped
 // handle.
 package fabric

@@ -194,6 +194,10 @@ type Service struct {
 	suspect     map[uint64]int
 	quarantined map[uint64]bool
 
+	// beforeRound, when set (tests only, under mu), is called by the
+	// scheduler after it forms a round and before it executes it.
+	beforeRound func()
+
 	done chan struct{} // closed when the scheduler has drained and exited
 }
 
@@ -314,8 +318,12 @@ func (s *Service) run() {
 			s.mu.Lock()
 		}
 		units := s.formRoundLocked()
+		hook := s.beforeRound
 		s.mu.Unlock()
 		if len(units) > 0 {
+			if hook != nil {
+				hook()
+			}
 			s.runRound(units)
 		}
 	}

@@ -127,6 +127,23 @@ func TestServiceDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if backend == "simnet" {
+				// The simulated backend can finish a round before the next
+				// Submit lands, so hold the first round until every job is
+				// admitted: the jobs that arrive while it executes must
+				// then batch into the next round, as the default config
+				// promises.
+				var first sync.Once
+				conc.mu.Lock()
+				conc.beforeRound = func() {
+					first.Do(func() {
+						for conc.Metrics().Submitted < int64(len(mix)) {
+							time.Sleep(time.Millisecond)
+						}
+					})
+				}
+				conc.mu.Unlock()
+			}
 			concRes := submitAll(t, conc, concSpecs)
 			conc.Close()
 

@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkEngineExchange measures the host-side overhead of the
-// baton-passing engine: one full dimension scan of exchanges on a 6-cube.
+// coroutine engine: one full dimension scan of exchanges on a 6-cube.
 func BenchmarkEngineExchange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e, err := New(6, machine.Ideal(machine.OnePort))

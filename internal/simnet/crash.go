@@ -7,10 +7,9 @@
 // crash takes effect at the first operation boundary whose action time is at
 // or past t. An operation that *started* before t completes (its
 // transmission was already on the wire); the node's next operation never
-// runs. The check sits at the scheduler's pop in all three schedulers (and
-// in the sharded engine's eager fast path), so the set of executed
-// operations is a pure function of action times versus crash times —
-// independent of scheduler choice and shard count.
+// runs. The check sits at the scheduler's pop in all three schedulers, so
+// the set of executed operations is a pure function of action times versus
+// crash times — independent of scheduler choice and shard count.
 //
 // Detection is the deterministic analog of a live backend's heartbeat
 // suspicion: the run fails with a typed *fabric.NodeDownError once the
@@ -58,12 +57,12 @@ func (e *Engine) crashDue(id int, t float64) bool {
 	return e.crashT != nil && t >= e.crashT[id]
 }
 
-// crashNode marks one node dead. The node's goroutine stays parked (blocked
-// on resume) until drainAll poisons it; crashed is deliberately distinct
-// from done so the drain still unwinds it. Only the node's flag is touched
-// — a shard worker owns its nodes, so this is race-free; the engine-level
-// fired count is maintained by each scheduler at its own synchronization
-// points (inline when serial, at the epoch barrier when sharded).
+// crashNode marks one node dead. Its coroutine stays parked until drainAll
+// stops it; crashed is deliberately distinct from done so the drain still
+// unwinds it. Only the node's flag is touched — a shard worker owns its
+// nodes, so this is race-free; the engine-level fired count is maintained
+// by each scheduler at its own synchronization points (inline when serial,
+// at the epoch barrier when sharded).
 func (e *Engine) crashNode(nd *Node) {
 	nd.crashed = true
 }

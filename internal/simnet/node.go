@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 
+	"boolcube/internal/fabric"
 	"boolcube/internal/machine"
 )
 
@@ -27,35 +28,52 @@ func (nd *Node) Neighbor(d int) uint64 {
 	return nd.id ^ 1<<uint(d)
 }
 
-// submit parks the node with a pending operation and blocks until the
-// engine executes it, returning the operation's result message and (for
-// sends under fault injection) its error.
-//
-// Under the sharded scheduler the node first tries to execute the
-// operation itself (tryEager, shard.go): while its shard's worker is
-// blocked waiting for this node to park, the node is the only goroutine
-// touching shard-owned state, so any operation that is provably inside the
-// current epoch and whose choice cannot be changed by a not-yet-delivered
-// arrival can run without the park/resume round-trip. This is what makes
-// the sharded engine faster than the serial one even with one worker.
+// submit parks the node's coroutine with a pending operation and returns
+// once the engine has executed it and resumed the node: the operation's
+// result message and (for sends under fault injection) its error. A yield
+// that returns false means the engine failed and is unwinding the node
+// (drainAll): the program panics with errPoisoned, which runProg swallows.
 func (nd *Node) submit(o op) (Msg, error) {
-	if nd.sh != nil {
-		if m, ok := nd.tryEager(o); ok {
-			return m, nd.opErr
-		}
-	}
 	nd.pending = o
-	nd.parked <- struct{}{}
-	m := <-nd.resume
-	if nd.eng.poisoned {
-		panic(errPoisoned) //cubevet:ignore liberrors -- control-flow sentinel, recovered by the engine wrapper
+	if !nd.yield(struct{}{}) {
+		panic(errPoisoned) //cubevet:ignore liberrors -- control-flow sentinel, recovered by runProg
 	}
+	m := nd.result
+	nd.result = Msg{}
 	return m, nd.opErr
 }
 
-// nodeAbort unwinds a node goroutine when a Send fails under fault
-// injection; the engine wrapper recovers it and surfaces err as the
-// program's failure, so Run returns the typed *FaultError.
+// resume hands the node the result of its executed operation and switches
+// to its coroutine, which runs the program until its next timed operation
+// parks it again. A program that has returned (or panicked) leaves the
+// pending opDone for the engine to retire.
+func (nd *Node) resume(m Msg) {
+	nd.result = m
+	if _, ok := nd.next(); !ok {
+		nd.pending = op{kind: opDone}
+	}
+}
+
+// runProg is the body of the node's coroutine. It converts a panic in the
+// program into the node's failure; errPoisoned is the drain's own unwind.
+func (nd *Node) runProg(prog func(fabric.Node)) {
+	defer func() {
+		if r := recover(); r != nil && r != errPoisoned {
+			if ab, ok := r.(*nodeAbort); ok {
+				// Typed unwind from a failed Send under fault injection or
+				// Fail; surface the error as-is.
+				nd.failure = ab.err
+			} else {
+				nd.failure = fmt.Errorf("simnet: node %d panicked: %v", nd.id, r)
+			}
+		}
+	}()
+	prog(nd)
+}
+
+// nodeAbort unwinds a node program when a Send fails under fault
+// injection; runProg recovers it and surfaces err as the program's
+// failure, so Run returns the typed *FaultError.
 type nodeAbort struct{ err error }
 
 // Fail aborts the node's program with a typed error: the engine unwinds
@@ -67,7 +85,7 @@ func (nd *Node) Fail(err error) {
 	if err == nil {
 		panic("simnet: Fail(nil)")
 	}
-	panic(&nodeAbort{err: err}) //cubevet:ignore liberrors -- typed unwind, recovered by the engine wrapper
+	panic(&nodeAbort{err: err}) //cubevet:ignore liberrors -- typed unwind, recovered by runProg
 }
 
 // Send transmits m to the neighbor across dimension dim. The call returns

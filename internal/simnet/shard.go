@@ -38,15 +38,12 @@
 //     through side effects the program itself wrote; every engine-reported
 //     artifact is exact.)
 //
-// Within an epoch a shard resumes a node and waits for it to park again;
-// during that window the node may execute further operations of its own
-// eagerly (Node.tryEager) without the park/resume channel round-trip,
-// whenever the operation is provably inside the epoch (action < horizon):
-// sends touch only sender-owned state, a receive's queue front is final
-// (single-sender FIFO), and a RecvAny whose action is inside the epoch
-// cannot be beaten by an undelivered arrival (those land at or past the
-// horizon). Halving the channel round-trips is what makes the sharded
-// engine faster than the serial one even with a single worker.
+// A shard worker executes each of its nodes' operations exactly as the
+// serial engine does — execute, then a direct switch into the node's
+// coroutine until it parks at its next operation — so shards differ from
+// the serial engine only in which operations they may run before a
+// barrier, never in how an operation runs. Each worker also runs its own
+// nodes' prologues before the first epoch.
 package simnet
 
 import (
@@ -72,7 +69,7 @@ const maxAutoShards = 16
 //	p == 0  automatic (the default): shard when the cube has at least
 //	        autoShardNodes nodes, with up to GOMAXPROCS workers;
 //	p >= 1  force the sharded scheduler with exactly p worker shards
-//	        (p == 1 still uses epochs and the eager in-node fast path);
+//	        (p == 1 still uses epochs, barriers and commit records);
 //	p < 0   force the serial indexed scheduler regardless of size.
 //
 // The sharded scheduler produces bit-identical traces, Stats, link loads
@@ -231,6 +228,9 @@ func (sh *shard) beginOp(nd *Node, t float64) {
 
 func (sh *shard) endOp() { sh.cur = nil }
 
+// busy reports whether the shard holds a node with a pending operation.
+func (sh *shard) busy() bool { return sh.heap.min() != -1 }
+
 // deliver routes one arrival from a node of this shard: intra-shard
 // arrivals go straight into the destination queue (the shard loop is a
 // serial engine over its own nodes), cross-shard arrivals wait for the
@@ -286,27 +286,22 @@ func (sh *shard) runEpoch() {
 		}
 		if e.crashDue(best, t) {
 			// Crash-stop at an operation boundary: no record, no resume —
-			// the node's goroutine stays parked until drainAll unwinds it.
+			// the node's coroutine stays parked until drainAll unwinds it.
 			e.crashNode(nd)
 			sh.crashCount++
 			h.remove(best)
 			continue
 		}
-		if nd.pending.kind == opDone {
-			sh.beginOp(nd, t)
-			e.performOp(nd)
-			sh.endOp()
+		sh.beginOp(nd, t)
+		done := e.execute(nd)
+		sh.endOp()
+		if done {
 			h.remove(best)
 			nd.done = true
 			sh.doneCount++
 			continue
 		}
-		sh.beginOp(nd, t)
-		m, _ := e.performOp(nd)
-		sh.endOp()
-		nd.resume <- m
-		<-nd.parked // the node may run further ops eagerly before parking
-		if nd.failure != nil && !nd.done {
+		if nd.failure != nil {
 			// Keep executing: a smaller-keyed failure may still be found
 			// this epoch (the barrier surfaces the canonical minimum).
 			nd.done = true
@@ -324,38 +319,8 @@ func (sh *shard) runEpoch() {
 	}
 }
 
-// tryEager executes the node's next operation in the node's own goroutine,
-// without parking, when it is provably safe: the action lies inside the
-// current epoch (so no undelivered arrival — all of which land at or past
-// the horizon — can influence its choice or be influenced by it) and does
-// not overrun a finite deadline. The shard's worker is blocked waiting for
-// this node to park, so the node is the only goroutine touching
-// shard-owned state.
-func (nd *Node) tryEager(o op) (Msg, bool) {
-	sh := nd.sh
-	e := nd.eng
-	nd.pending = o
-	t, ok := e.actionTime(nd)
-	if !ok || t >= sh.run.horizon || t > e.deadline || e.crashDue(int(nd.id), t) {
-		// A due crash must not execute eagerly: the node parks instead and
-		// the shard loop crash-stops it at the canonical pop.
-		return Msg{}, false
-	}
-	sh.beginOp(nd, t)
-	m, _ := e.performOp(nd)
-	sh.endOp()
-	return m, true
-}
-
 // runSharded is the coordinator loop of the sharded scheduler.
 func (e *Engine) runSharded(p int) error {
-	// Surface prologue failures in node-id order, matching the serial
-	// schedulers' scan.
-	for _, nd := range e.nodes {
-		if err := e.checkFailure(nd); err != nil {
-			return err
-		}
-	}
 	run := &shardRun{
 		e:         e,
 		shards:    make([]shard, p),
@@ -369,10 +334,23 @@ func (e *Engine) runSharded(p int) error {
 		sh.heap = newReadyHeap(e.nodesCount)
 	}
 	for i, nd := range e.nodes {
-		sh := &run.shards[i/run.shardSize]
-		nd.sh = sh
+		nd.sh = &run.shards[i/run.shardSize]
+	}
+	// Each worker runs its own nodes' prologues, in id order.
+	run.each(nil, func(sh *shard) {
+		lo := min(sh.id*run.shardSize, e.nodesCount)
+		for _, nd := range e.nodes[lo:min(lo+run.shardSize, e.nodesCount)] {
+			nd.resume(Msg{})
+		}
+	})
+	// Surface prologue failures in node-id order, matching the serial
+	// schedulers' scan.
+	for i, nd := range e.nodes {
+		if err := e.checkFailure(nd); err != nil {
+			return err
+		}
 		if t, ok := e.actionTime(nd); ok {
-			sh.heap.update(i, t)
+			nd.sh.heap.update(i, t)
 		}
 	}
 	live := e.nodesCount
@@ -396,23 +374,7 @@ func (e *Engine) runSharded(p int) error {
 			return err
 		}
 		run.horizon = minT + run.lookahead
-		if p == 1 {
-			run.shards[0].runEpoch()
-		} else {
-			var wg sync.WaitGroup
-			for i := range run.shards {
-				sh := &run.shards[i]
-				if sh.heap.min() == -1 {
-					continue
-				}
-				wg.Add(1)
-				go func(sh *shard) {
-					defer wg.Done()
-					sh.runEpoch()
-				}(sh)
-			}
-			wg.Wait()
-		}
+		run.each((*shard).busy, (*shard).runEpoch)
 		// Barrier. First route staged cross-shard arrivals — per queue
 		// (one sender, one dimension) the outbox preserves sender program
 		// order, so delivery order matches the serial engine's.
@@ -472,6 +434,28 @@ func (e *Engine) runSharded(p int) error {
 		e.stats.Time = e.maxResourceTime()
 	}
 	return nil
+}
+
+// each runs f on every shard for which want reports true (every shard when
+// want is nil) and returns when all are done: inline with one worker,
+// otherwise one goroutine per shard.
+func (run *shardRun) each(want func(*shard) bool, f func(*shard)) {
+	if len(run.shards) == 1 {
+		f(&run.shards[0])
+		return
+	}
+	var wg sync.WaitGroup
+	for i := range run.shards {
+		if want != nil && !want(&run.shards[i]) {
+			continue
+		}
+		wg.Add(1)
+		go func(sh *shard) {
+			defer wg.Done()
+			f(sh)
+		}(&run.shards[i])
+	}
+	wg.Wait()
 }
 
 // globalMin returns the smallest (action time, node id) pending key across

@@ -11,12 +11,15 @@
 // all its sends (and all its receives) while an n-port node has one send and
 // one receive resource per dimension.
 //
-// Determinism: the engine parks every node at each timed operation and
-// always executes the pending operation with the smallest virtual action
-// time (ties broken by node id). Since node clocks are monotone and a
-// message's arrival time is never earlier than its sender's action time,
-// this order is causally correct, and repeated runs produce identical
-// virtual-time traces regardless of goroutine scheduling. The executable
+// Determinism: every node program runs as a coroutine (iter.Pull) that
+// yields to the engine at each timed operation, and the engine always
+// executes the pending operation with the smallest virtual action time (ties
+// broken by node id), then switches straight back into that node's
+// coroutine to run its program on to the next timed operation. Since node
+// clocks are monotone and a message's arrival time is never earlier than its
+// sender's action time, this order is causally correct, and repeated runs
+// produce identical virtual-time traces; no node code runs outside the
+// engine's schedule, so the Go scheduler has no say in it. The executable
 // nodes are kept in an indexed min-heap ready queue keyed by action time
 // (sched.go); only the nodes whose scheduling inputs changed — the executed
 // node, and the destination of a send — are re-keyed, so scheduling costs
@@ -30,12 +33,15 @@
 // return its buffers to the engine's pool with Recycle (see pool.go); the
 // cubevet poolretain pass flags programs that retain a recycled buffer.
 //
-// Concurrency contract: between a node's timed operations, only that node
-// runs — but all node prologues (before the first timed operation) and
-// epilogues (after the last) execute concurrently. State shared across node
-// programs must therefore be read-only, synchronized, or partitioned per
-// node (e.g. writing result[nd.ID()] is safe; lazily filling a shared map
-// is not).
+// Concurrency contract: node code runs only while the engine has resumed
+// that node. Under the serial schedulers that is one node at a time:
+// prologues (before the first timed operation) run in node-id order inside
+// Run, and each epilogue (after the last) runs when the engine resumes the
+// node for the last time. The sharded scheduler resumes nodes of different
+// shards in parallel, prologues included, and other backends (livenet) run
+// every node concurrently, so state shared across node programs must be
+// read-only, synchronized, or partitioned per node (e.g. writing
+// result[nd.ID()] is safe; lazily filling a shared map is not).
 package simnet
 
 import (
@@ -115,7 +121,7 @@ func (q *inQueue) pop() arrival {
 
 // Node is the per-processor handle node programs use. Its methods may only
 // be called from within the program function passed to Run, on the node's
-// own goroutine.
+// own coroutine.
 type Node struct {
 	id  uint64
 	eng *Engine
@@ -131,12 +137,17 @@ type Node struct {
 
 	queues  []inQueue // inbound, per dimension
 	pending op
-	parked  chan struct{} // signaled by node when parked
-	resume  chan Msg      // engine -> node, carries recv results
-	opErr   error         // set by the engine before resume (fault injection)
+	result  Msg   // set by the engine before resume: the op's received message
+	opErr   error // set by the engine before resume (fault injection)
 	done    bool
 	crashed bool // crash-stop fired; stays parked until drainAll, never done
 	failure error
+
+	// The node program's coroutine (see spawn): the engine resumes it with
+	// next and unwinds it with stop; submit parks it with yield.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	// Sharded-execution state (nil/zero under the serial schedulers).
 	sh      *shard  // owning shard during a sharded Run
@@ -179,12 +190,10 @@ type Engine struct {
 	crashT       []float64 // per-node crash time, +Inf when the node survives
 	crashedCount int       // crashes fired this run
 
-	stats    Stats
-	tracer   Tracer
-	started  bool // engines are one-shot; see Run
-	poisoned bool // set before resuming nodes during drainAll
-	debug    bool // SIMNET_DEBUG assertions, snapshotted in New
-	fail     error
+	stats   Stats
+	tracer  Tracer
+	started bool // engines are one-shot; see Run
+	debug   bool // SIMNET_DEBUG assertions, snapshotted in New
 }
 
 // TraceEvent is one timed operation of one node (fabric.TraceEvent).
@@ -212,7 +221,7 @@ func (e *Engine) trace(ev TraceEvent) {
 	}
 }
 
-// errPoisoned unwinds node goroutines after the engine has failed.
+// errPoisoned unwinds node coroutines after the engine has failed.
 var errPoisoned = fmt.Errorf("simnet: engine poisoned")
 
 // linkIndex densely indexes the directed link (from, dim).
@@ -359,8 +368,6 @@ func (e *Engine) Run(prog func(fabric.Node)) error {
 			sendFree: portArena[(2*i)*ports : (2*i+1)*ports],
 			recvFree: portArena[(2*i+1)*ports : (2*i+2)*ports],
 			queues:   queueArena[i*dims : (i+1)*dims],
-			parked:   make(chan struct{}, 1),
-			resume:   make(chan Msg, 1),
 		}
 		if e.debug {
 			nd.lastSendStart = debugArena[(2*i)*ports : (2*i+1)*ports]
@@ -368,41 +375,29 @@ func (e *Engine) Run(prog func(fabric.Node)) error {
 		}
 		e.nodes[i] = nd
 	}
-	for _, nd := range e.nodes {
-		go func(nd *Node) {
-			defer func() {
-				if r := recover(); r != nil && r != errPoisoned {
-					if ab, ok := r.(*nodeAbort); ok {
-						// Typed unwind from a failed Send under fault
-						// injection; surface the fault error as-is.
-						nd.failure = ab.err
-					} else {
-						nd.failure = fmt.Errorf("simnet: node %d panicked: %v", nd.id, r)
-					}
-				}
-				nd.pending = op{kind: opDone}
-				nd.parked <- struct{}{}
-			}()
-			prog(nd)
-		}(nd)
+	// Start every node: the first resume runs its prologue up to the first
+	// timed operation — here, one node at a time in id order, for the
+	// serial schedulers; runSharded runs each shard's prologues in its
+	// worker. Invariant from then on: every live node's coroutine is parked
+	// in submit with a pending op, or has finished with pending opDone.
+	p := 0
+	if !e.refSched {
+		p = e.shardCount()
 	}
-
-	// Invariant: at the top of each iteration every live node is parked with
-	// a pending op and its park token has been consumed, so its goroutine is
-	// blocked waiting on resume.
 	for _, nd := range e.nodes {
-		<-nd.parked
+		nd.spawn(prog)
+		if p == 0 {
+			nd.resume(Msg{})
+		}
 	}
 	var err error
 	switch {
 	case e.refSched:
 		err = e.runLinear()
+	case p > 0:
+		err = e.runSharded(p)
 	default:
-		if p := e.shardCount(); p > 0 {
-			err = e.runSharded(p)
-		} else {
-			err = e.runIndexed()
-		}
+		err = e.runIndexed()
 	}
 	// Copy time is accumulated per node and folded in ascending node-id
 	// order on every exit path, so the float64 sum is independent of both
@@ -458,7 +453,7 @@ func (e *Engine) runIndexed() error {
 		}
 		if e.crashDue(best, t) {
 			// Crash-stop: the pending operation never executes; the node's
-			// goroutine stays parked until drainAll unwinds it.
+			// coroutine stays parked until drainAll unwinds it.
 			e.crashNode(nd)
 			e.crashedCount++
 			e.ready.remove(best)
@@ -472,7 +467,6 @@ func (e *Engine) runIndexed() error {
 			e.ready.remove(best)
 			continue
 		}
-		<-nd.parked // wait for the resumed node to park again
 		if err := e.checkFailure(nd); err != nil {
 			return err
 		}
@@ -489,7 +483,7 @@ func (e *Engine) runIndexed() error {
 	if e.stats.Time < e.maxResourceTime() {
 		e.stats.Time = e.maxResourceTime()
 	}
-	return e.fail
+	return nil
 }
 
 // checkFailure surfaces a node-program failure (panic, typed fault abort)
@@ -574,9 +568,7 @@ func (e *Engine) runLinear() error {
 		if e.execute(nd) {
 			nd.done = true
 			live--
-			continue
 		}
-		<-nd.parked // wait for the resumed node to park again
 	}
 	if e.crashedCount > 0 {
 		err := e.nodeDownError()
@@ -586,25 +578,19 @@ func (e *Engine) runLinear() error {
 	if e.stats.Time < e.maxResourceTime() {
 		e.stats.Time = e.maxResourceTime()
 	}
-	return e.fail
+	return nil
 }
 
-// drainAll unwinds every still-live node goroutine after an error: the
-// engine is poisoned so the node's next operation panics with a sentinel
-// that the goroutine wrapper converts into a clean exit.
+// drainAll unwinds every still-live node coroutine after an error. Stopping
+// a coroutine parked in submit makes its yield return false, so the pending
+// operation panics with errPoisoned, which runProg swallows; stopping a
+// finished one is a no-op.
 func (e *Engine) drainAll() {
-	e.poisoned = true
 	for _, nd := range e.nodes {
-		if nd.done {
-			continue
+		if !nd.done {
+			nd.stop()
+			nd.done = true
 		}
-		if nd.pending.kind != opDone {
-			// Goroutine is blocked on resume; unblock it and let the
-			// poison sentinel unwind it to a final opDone park.
-			nd.resume <- Msg{}
-			<-nd.parked
-		}
-		nd.done = true
 	}
 }
 
@@ -674,33 +660,22 @@ func (e *Engine) actionTime(nd *Node) (float64, bool) {
 	return 0, false
 }
 
-// execute runs the node's pending operation, updates time and statistics,
-// and resumes the node (except for opDone). Returns true when the node has
-// finished.
+// execute runs the node's pending operation — time, statistics, queue
+// movement — then resumes the node's coroutine with the result, which runs
+// the program on to its next timed operation (or its end). Returns true when
+// the pending operation was opDone: the node has finished and is not
+// resumed.
 func (e *Engine) execute(nd *Node) bool {
-	m, done := e.performOp(nd)
-	if !done {
-		nd.resume <- m
-	}
-	return done
-}
-
-// performOp runs the semantics of the node's pending operation — time,
-// statistics, queue movement — without resuming the node's goroutine. The
-// serial schedulers resume immediately (execute); the sharded scheduler
-// resumes only after closing the operation's commit record, because the
-// resumed node may eagerly execute further operations of its own
-// (shard.go), each needing its own record.
-func (e *Engine) performOp(nd *Node) (Msg, bool) {
+	var m Msg
 	nd.opErr = nil
 	switch nd.pending.kind {
 	case opSend:
 		nd.opErr = e.doSend(nd, nd.pending.dim, nd.pending.msg)
 		nd.pending.msg = Msg{} // ownership moved to the destination queue
 	case opRecv:
-		return e.doRecv(nd, nd.pending.dim), false
+		m = e.doRecv(nd, nd.pending.dim)
 	case opRecvAny:
-		return e.doRecvAny(nd), false
+		m = e.doRecvAny(nd)
 	case opCopy:
 		t := e.params.CopyTime(nd.pending.bytes)
 		e.traceN(nd, TraceEvent{Node: nd.id, Kind: "copy", Dim: -1,
@@ -715,9 +690,10 @@ func (e *Engine) performOp(nd *Node) (Msg, bool) {
 		e.bumpTime(nd, nd.clock)
 	case opDone:
 		e.bumpTime(nd, nd.clock)
-		return Msg{}, true
+		return true
 	}
-	return Msg{}, false
+	nd.resume(m)
+	return false
 }
 
 // addCopy books a local copy's cost. The time lands in the per-node
