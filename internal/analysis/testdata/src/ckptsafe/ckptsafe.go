@@ -202,3 +202,32 @@ func GoodRecoverBlessedErr(e *Engine, cp *Checkpoint) (*Result, error) {
 	}
 	return &Result{Stats: e.Stats()}, nil
 }
+
+// FlowRun mimics core.FlowRun, the span executor: its Run drives an engine,
+// places the completed flows and returns the engine Stats.
+type FlowRun struct{}
+
+// Run mimics (*core.FlowRun).Run.
+func (r *FlowRun) Run(e *Engine) (Stats, error) {
+	err := e.Run(func(nd *Node) {})
+	return e.Stats(), err
+}
+
+// BadFlowRunBareReturn surfaces a span-executor failure without a
+// checkpoint: the flows it already placed are lost.
+func BadFlowRunBareReturn(e *Engine, r *FlowRun) (*Result, error) {
+	st, err := r.Run(e)
+	if err != nil {
+		return nil, err // delivered flows lost
+	}
+	return &Result{Stats: st}, nil
+}
+
+// GoodFlowRunCkpt folds the span executor's Stats into the checkpoint.
+func GoodFlowRunCkpt(e *Engine, r *FlowRun) (*Result, error) {
+	st, err := r.Run(e)
+	if err != nil {
+		return nil, &ExecError{Checkpoint: &Checkpoint{Stats: st, At: st.Time}, Err: err}
+	}
+	return &Result{Stats: st}, nil
+}

@@ -38,12 +38,11 @@ func AllToAllSBnT(e fabric.Fabric, block func(src, dst uint64) []float64) ([]map
 	}
 	result := make([]map[uint64][]float64, N)
 	for x := uint64(0); x < N; x++ {
-		out := make(map[uint64][]float64)
-		for _, del := range deliveries[x] {
-			out[del.Src] = del.Data
-		}
-		out[x] = block(x, x)
-		result[x] = out
+		result[x] = map[uint64][]float64{x: block(x, x)}
+	}
+	for _, d := range deliveries {
+		f := flows[d.Flow]
+		result[f.Dst][f.Src] = d.Data
 	}
 	return result, nil
 }

@@ -82,13 +82,13 @@ func ConvertEncoding(d *matrix.Dist, after field.Layout, opt Options) (*Result, 
 		return nil, err //cubevet:ignore ckptsafe -- ad-hoc flows carry no plan move-set; Resume requires one
 	}
 	loc := newLocal(after, e.Nodes())
+	for _, del := range deliveries {
+		f := flows[del.Flow]
+		pl.Scatter(f.Dst, loc[f.Dst], f.Src, del.Data)
+	}
 	for dp := 0; dp < after.N(); dp++ {
-		out := loc[dp]
-		for _, del := range deliveries[uint64(dp)] {
-			pl.Scatter(uint64(dp), out, del.Src, del.Data)
-		}
 		self := pl.Gather(uint64(dp), d.Local[dp], uint64(dp))
-		pl.Scatter(uint64(dp), out, uint64(dp), self)
+		pl.Scatter(uint64(dp), loc[dp], uint64(dp), self)
 	}
 	return &Result{Dist: finishDist(after, loc), Stats: e.Stats()}, nil
 }

@@ -71,6 +71,15 @@ type ExecOptions struct {
 	Backend string
 }
 
+// down is the permanently-down predicate failover routes around: nil when
+// the run injects no faults or failover is off.
+func (xo ExecOptions) down() func(from uint64, dim int) bool {
+	if xo.Faults == nil || xo.Failover == FailoverNone {
+		return nil
+	}
+	return xo.Faults.PermanentlyDown
+}
+
 // checkFaults validates the fault plan against the plan's cube.
 func (xo ExecOptions) checkFaults(p *plan.Plan) error {
 	if xo.Faults != nil && xo.Faults.Dims() != p.NDims() {

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"boolcube/internal/remap"
-)
+import "sort"
 
 // Recover finishes a checkpointed execution after crash-stop node failures:
 // it determines which nodes are dead (the checkpoint's accumulated Dead set
@@ -28,27 +24,7 @@ func Recover(cp *Checkpoint, xo ExecOptions) (*Result, error) {
 		return Resume(cp, xo)
 	}
 	cp.Dead = dead
-
-	// Only the endpoints of network residuals need live hosts: self pairs
-	// and fold-coincident pairs replay host-side.
-	seen := make(map[uint64]bool)
-	var active []uint64
-	for _, r := range cp.Remaining() {
-		if r.Src == r.Dst {
-			continue
-		}
-		for _, x := range []uint64{r.Src, r.Dst} {
-			if !seen[x] {
-				seen[x] = true
-				active = append(active, x)
-			}
-		}
-	}
-	asg, err := remap.Plan(cp.Plan.NDims(), dead, active)
-	if err != nil {
-		return nil, err //cubevet:ignore ckptsafe -- pre-flight: no engine ran, the checkpoint is unchanged and still resumable
-	}
-	return resumeMapped(cp, xo, asg.Phys)
+	return resume(cp, xo, dead)
 }
 
 // deadNodes unions the checkpoint's accumulated dead set with the crashes

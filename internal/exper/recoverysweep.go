@@ -5,12 +5,12 @@ import (
 	"fmt"
 
 	"boolcube/internal/core"
+	"boolcube/internal/fabric"
 	"boolcube/internal/fault"
 	"boolcube/internal/machine"
 	"boolcube/internal/matrix"
 	"boolcube/internal/plan"
 	"boolcube/internal/router"
-	"boolcube/internal/simnet"
 )
 
 func init() {
@@ -26,13 +26,13 @@ var recoverySeeds = []int64{1, 2, 3}
 // and one late kill (most of it already delivered).
 var recoveryEpochs = []float64{0.35, 0.7}
 
-// recoveryOutcome classifies one (algorithm, k, seed, epoch) run.
+// recoveryOutcome classifies one run of the recovery and chaos sweeps.
 type recoveryOutcome int
 
 const (
-	outDirect  recoveryOutcome = iota // completed despite the kill
-	outResumed                        // failed mid-run, Resume finished it
-	outFailed                         // neither direct nor resumable
+	outDirect    recoveryOutcome = iota // completed despite the faults
+	outRecovered                        // failed mid-run, the checkpoint finished it
+	outFailed                           // neither direct nor recoverable
 )
 
 // recoverySweep measures checkpoint/resume rather than raw robustness: k
@@ -74,7 +74,7 @@ func recoverySweep() (*Table, error) {
 	}
 	ks := []int{1, 2, 4}
 
-	bases, err := Par(len(algos), 0, func(i int) (simnet.Stats, error) {
+	bases, err := Par(len(algos), 0, func(i int) (fabric.Stats, error) {
 		return runTranspose(algos[i].alg, logElems, n, core.Options{Machine: mach})
 	})
 	if err != nil {
@@ -100,12 +100,12 @@ func recoverySweep() (*Table, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		out, st, sunk, err := runRecovered(a.alg, logElems, n, core.Options{Machine: mach, Faults: fp})
+		out, st, sunk, err := runRecovered(a.alg, logElems, n, core.Options{Machine: mach, Faults: fp}, nil)
 		if err != nil {
 			return cell{}, err
 		}
 		c := cell{out: out}
-		if out == outResumed {
+		if out == outRecovered {
 			base := bases[j/(len(ks)*perCell)]
 			c.resumeFrac = float64(st.Bytes-sunk) / float64(base.Bytes)
 			c.slow = st.Time / base.Time
@@ -125,7 +125,7 @@ func recoverySweep() (*Table, error) {
 				switch c.out {
 				case outDirect:
 					direct++
-				case outResumed:
+				case outRecovered:
 					resumed++
 					frac += c.resumeFrac
 					slow += c.slow
@@ -146,21 +146,24 @@ func recoverySweep() (*Table, error) {
 	return t, nil
 }
 
-// maxResumeAttempts bounds the resume loop: each attempt only shrinks the
-// residual, but a schedule that keeps killing links could in principle fail
-// every retry.
-const maxResumeAttempts = 3
+// maxRecoverAttempts bounds the recovery loop: each attempt only shrinks
+// the residual (a second kill during a recovery run folds into the
+// checkpoint's dead set), but a schedule that keeps killing could in
+// principle fail every retry.
+const maxRecoverAttempts = 4
 
-// runRecovered runs one transposition under a mid-run fault schedule,
-// resuming from the checkpoint on failure. It returns the outcome class,
-// the final cumulative Stats (for direct and resumed outcomes), and the
-// cost already sunk at the first checkpoint (so resumed-run traffic is
-// st.Bytes - sunk). The result is verified element-exact in every
-// successful outcome.
-func runRecovered(alg plan.Algorithm, logElems, n int, opt core.Options) (recoveryOutcome, simnet.Stats, int64, error) {
+// runRecovered runs one transposition under a mid-run fault schedule and
+// hands every failed attempt's checkpoint to core.Recover — which is
+// core.Resume when no node died. It returns the outcome class, the final
+// cumulative Stats (for direct and recovered outcomes), and the cost
+// already sunk at the first checkpoint (so recovery traffic is st.Bytes -
+// sunk). The result is verified element-exact in every successful outcome.
+// A non-nil cause requires the first failure to unwrap to it; any other
+// failure is an experiment error.
+func runRecovered(alg plan.Algorithm, logElems, n int, opt core.Options, cause error) (recoveryOutcome, fabric.Stats, int64, error) {
 	before, after, p, q, ok := twoDimLayouts(logElems, n)
 	if !ok {
-		return outFailed, simnet.Stats{}, 0, fmt.Errorf("exper: shape %d elems on %d-cube invalid", logElems, n)
+		return outFailed, fabric.Stats{}, 0, fmt.Errorf("exper: shape %d elems on %d-cube invalid", logElems, n)
 	}
 	m := matrix.NewIota(p, q)
 	want := m.Transposed()
@@ -168,40 +171,44 @@ func runRecovered(alg plan.Algorithm, logElems, n int, opt core.Options) (recove
 	res, err := core.TransposeCached(alg, d, after, opt)
 	if err == nil {
 		if verr := res.Dist.Verify(want); verr != nil {
-			return outFailed, simnet.Stats{}, 0, verr
+			return outFailed, fabric.Stats{}, 0, verr
 		}
 		return outDirect, res.Stats, 0, nil
 	}
 	var xe *core.ExecError
 	if !errors.As(err, &xe) {
 		if isFaultOutcome(err) {
-			return outFailed, simnet.Stats{}, 0, nil
+			return outFailed, fabric.Stats{}, 0, nil
 		}
-		return outFailed, simnet.Stats{}, 0, err
+		return outFailed, fabric.Stats{}, 0, err
+	}
+	if cause != nil && !errors.Is(err, cause) {
+		return outFailed, fabric.Stats{}, 0, fmt.Errorf("exper: fault schedule failed without %v: %w", cause, err)
 	}
 	sunk := xe.Checkpoint.Stats.Bytes
-	for attempt := 0; attempt < maxResumeAttempts; attempt++ {
-		res, err = core.Resume(xe.Checkpoint, core.ExecOptions{})
+	for attempt := 0; attempt < maxRecoverAttempts; attempt++ {
+		res, err = core.Recover(xe.Checkpoint, core.ExecOptions{Backend: opt.Backend})
 		if err == nil {
 			if verr := res.Dist.Verify(want); verr != nil {
-				return outFailed, simnet.Stats{}, 0, verr
+				return outFailed, fabric.Stats{}, 0, verr
 			}
-			return outResumed, res.Stats, sunk, nil
+			return outRecovered, res.Stats, sunk, nil
 		}
 		if !errors.As(err, &xe) {
 			break
 		}
 	}
 	if isFaultOutcome(err) {
-		return outFailed, simnet.Stats{}, 0, nil
+		return outFailed, fabric.Stats{}, 0, nil
 	}
-	return outFailed, simnet.Stats{}, 0, err
+	return outFailed, fabric.Stats{}, 0, err
 }
 
 // isFaultOutcome reports whether err is one of the typed injected-fault
 // outcomes a sweep counts as "failed" rather than an experiment error.
 func isFaultOutcome(err error) bool {
-	return errors.Is(err, simnet.ErrLinkDown) || errors.Is(err, simnet.ErrRetryBudget) ||
+	return errors.Is(err, fabric.ErrLinkDown) || errors.Is(err, fabric.ErrRetryBudget) ||
+		errors.Is(err, fabric.ErrNodeDown) ||
 		errors.Is(err, router.ErrNoRoute) || errors.Is(err, router.ErrLinkBlocked) ||
 		errors.Is(err, core.ErrInfeasible)
 }

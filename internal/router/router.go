@@ -29,83 +29,54 @@ type Flow struct {
 	Tags []uint64
 }
 
-// Delivery is a completed flow at its destination, payload reassembled in
-// packet order. Tags is the reassembled address-tag array when the flow
-// carried one, nil otherwise.
+// Delivery is one completed flow at its destination: Flow indexes the
+// submitted flow slice, Data is the payload reassembled in packet order and
+// Tags the reassembled address-tag array when the flow carried one (nil
+// otherwise).
 type Delivery struct {
-	Src  uint64
+	Flow int
 	Data []float64
 	Tags []uint64
 }
 
-// Partial is what RunRecover salvages from a failed run: the flows whose
-// every packet had reached its destination when the engine stopped, with
-// payloads reassembled exactly as a successful run would have. FlowIdx
-// indexes into the submitted flow slice, ascending; Data and Tags are
-// parallel to it (Tags entries nil for untagged flows). Flows with any
-// packet still in flight are simply absent — partial payloads are never
-// exposed.
-type Partial struct {
-	FlowIdx []int
-	Data    [][]float64
-	Tags    [][]uint64
-}
-
-// Elems returns the total number of salvaged payload elements.
-func (p *Partial) Elems() int {
-	total := 0
-	for _, d := range p.Data {
-		total += len(d)
-	}
-	return total
-}
-
-// Run executes all flows on the engine. It returns the deliveries grouped
-// by destination node, in a deterministic order (by source). Sources inject
-// their packets round-robin across their flows — packet 0 of every flow
-// first — which realizes the paper's MPT schedule of sending one packet per
-// path per cycle.
-func Run(e fabric.Fabric, flows []Flow) (map[uint64][]Delivery, error) {
-	out, _, err := RunRecover(e, flows)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RunRecover is Run with checkpoint salvage: when the engine run fails
-// (fault injection, deadline, deadlock), the completely delivered flows are
-// recovered from the destination nodes' final buffers — safe to read
-// host-side because a failed Run parks every node before returning — and
-// returned as a Partial alongside the error. On success the Partial is nil
-// and the delivery map is identical to Run's.
+// Run executes all flows on the engine and returns one Delivery per
+// completed flow, ascending by flow index; on success every flow completes,
+// so delivery i belongs to flow i. Sources inject their packets round-robin
+// across their flows — packet 0 of every flow first — which realizes the
+// paper's MPT schedule of sending one packet per path per cycle.
+//
+// When the engine run fails (fault injection, deadline, deadlock), the
+// deliveries are what a checkpoint can salvage: the flows whose every packet
+// had reached its destination, recovered from the destination nodes' final
+// buffers — safe to read host-side because a failed run parks every node
+// before returning — and returned alongside the error. Flows with any
+// packet still in flight are absent; partial payloads are never exposed.
 //
 // Every flow is stamped with a whole-flow delivery-audit checksum at
 // injection (one pass per flow, carried by each of its packets) and
 // verified once at its destination after the flow's packets have all
 // arrived; a mismatch aborts the run with a typed *fabric.AuditError.
-func RunRecover(e fabric.Fabric, flows []Flow) (map[uint64][]Delivery, *Partial, error) {
+func Run(e fabric.Fabric, flows []Flow) ([]Delivery, error) {
 	n := e.Dims()
 	N := uint64(e.Nodes())
 	for i, f := range flows {
 		if f.Src >= N || f.Dst >= N {
-			return nil, nil, fmt.Errorf("router: flow %d endpoints out of range", i)
+			return nil, fmt.Errorf("router: flow %d endpoints out of range", i)
 		}
 		if f.Tags != nil && len(f.Tags) != len(f.Data) {
-			return nil, nil, fmt.Errorf("router: flow %d has %d tags for %d elements", i, len(f.Tags), len(f.Data))
+			return nil, fmt.Errorf("router: flow %d has %d tags for %d elements", i, len(f.Tags), len(f.Data))
 		}
 		end := f.Src
 		for _, d := range f.Dims {
 			if d < 0 || d >= n {
-				return nil, nil, fmt.Errorf("router: flow %d has dimension %d out of range", i, d)
+				return nil, fmt.Errorf("router: flow %d has dimension %d out of range", i, d)
 			}
 			end ^= 1 << uint(d)
 		}
 		if end != f.Dst {
-			return nil, nil, fmt.Errorf("router: flow %d route ends at %d, not %d", i, end, f.Dst)
+			return nil, fmt.Errorf("router: flow %d route ends at %d, not %d", i, end, f.Dst)
 		}
 	}
-
 	// Static planning: per-source flow lists, per-node arrival counts, and
 	// per-destination final packet counts (all dense — the routes are fixed,
 	// so every buffer can be sized exactly before the engine runs).
@@ -126,12 +97,6 @@ func RunRecover(e fabric.Fabric, flows []Flow) (map[uint64][]Delivery, *Partial,
 		finalCount[f.Dst] += pk
 	}
 
-	type pkt struct {
-		flow, idx int
-		data      []float64
-		tags      []uint64
-		sum       uint64 // whole-flow checksum carried by the packet
-	}
 	// finals[node] accumulates (flow, packet, data) at destinations,
 	// presized to the known arrival totals.
 	finals := make([][]pkt, N)
@@ -204,12 +169,7 @@ func RunRecover(e fabric.Fabric, flows []Flow) (map[uint64][]Delivery, *Partial,
 		// reassembled payload in one streaming pass against the flow sum
 		// stamped at injection.
 		fin := finals[id]
-		slices.SortFunc(fin, func(a, b pkt) int {
-			if a.flow != b.flow {
-				return a.flow - b.flow
-			}
-			return a.idx - b.idx
-		})
+		slices.SortFunc(fin, pktOrder)
 		for s := 0; s < len(fin); {
 			var sm fabric.Summer
 			e := s
@@ -226,79 +186,71 @@ func RunRecover(e fabric.Fabric, flows []Flow) (map[uint64][]Delivery, *Partial,
 		}
 	})
 
-	// Reassemble per flow. After a failed Run every node goroutine has
-	// parked, so finals is safe to read here even on the error path.
-	byFlow := make(map[int][]pkt)
-	for _, ps := range finals {
-		for _, p := range ps {
-			byFlow[p.flow] = append(byFlow[p.flow], p)
+	// Reassemble per flow. After a failed run every node has parked, so
+	// finals is safe to read (and sort) here even on the error path; a node
+	// whose program finished has already sorted its arrivals.
+	byFlow := make([][]pkt, len(flows))
+	for _, fin := range finals {
+		if err != nil {
+			slices.SortFunc(fin, pktOrder)
+		}
+		for s := 0; s < len(fin); {
+			e := s + 1
+			for e < len(fin) && fin[e].flow == fin[s].flow {
+				e++
+			}
+			byFlow[fin[s].flow] = fin[s:e]
+			s = e
 		}
 	}
-	assemble := func(i int) ([]float64, []uint64) {
-		f := flows[i]
+	out := make([]Delivery, 0, len(flows))
+	for i, f := range flows {
 		if len(f.Dims) == 0 {
-			var tags []uint64
+			d := Delivery{Flow: i, Data: append([]float64(nil), f.Data...)}
 			if f.Tags != nil {
-				tags = append([]uint64(nil), f.Tags...)
+				d.Tags = append([]uint64(nil), f.Tags...)
 			}
-			return append([]float64(nil), f.Data...), tags
+			out = append(out, d)
+			continue
 		}
 		ps := byFlow[i]
-		slices.SortFunc(ps, func(a, b pkt) int { return a.idx - b.idx })
-		data := make([]float64, 0, len(f.Data))
-		var tags []uint64
+		if len(ps) != packetsOf(f) {
+			continue // packets still in flight; never expose partial payloads
+		}
+		d := Delivery{Flow: i, Data: make([]float64, 0, len(f.Data))}
 		if f.Tags != nil {
-			tags = make([]uint64, 0, len(f.Tags))
+			d.Tags = make([]uint64, 0, len(f.Tags))
 		}
 		for _, p := range ps {
-			data = append(data, p.data...)
-			if tags != nil {
-				tags = append(tags, p.tags...)
+			d.Data = append(d.Data, p.data...)
+			if d.Tags != nil {
+				d.Tags = append(d.Tags, p.tags...)
 			}
 		}
-		return data, tags
-	}
-
-	if err != nil {
-		part := &Partial{}
-		for i, f := range flows {
-			if len(f.Dims) > 0 && len(byFlow[i]) != packetsOf(f) {
-				continue // packets still in flight; never expose partial payloads
-			}
-			data, tags := assemble(i)
-			// The in-run per-flow audit only fires on completed runs; audit
-			// salvaged flows here so a corrupt payload is never exposed.
-			if ps := byFlow[i]; len(ps) > 0 && ps[0].sum != 0 {
-				if fabric.Checksum(data) != ps[0].sum {
-					continue
-				}
-			}
-			part.FlowIdx = append(part.FlowIdx, i)
-			part.Data = append(part.Data, data)
-			part.Tags = append(part.Tags, tags)
+		// The in-run per-flow audit only fires on completed runs; audit
+		// salvaged flows here so a corrupt payload is never exposed.
+		if err != nil && ps[0].sum != 0 && fabric.Checksum(d.Data) != ps[0].sum {
+			continue
 		}
-		return nil, part, err
+		out = append(out, d)
 	}
+	return out, err
+}
 
-	out := make(map[uint64][]Delivery)
-	for i, f := range flows {
-		data, tags := assemble(i)
-		out[f.Dst] = append(out[f.Dst], Delivery{Src: f.Src, Data: data, Tags: tags})
+// pkt is one packet at its destination.
+type pkt struct {
+	flow, idx int
+	data      []float64
+	tags      []uint64
+	sum       uint64 // whole-flow checksum carried by the packet
+}
+
+// pktOrder sorts arrivals into (flow, packet) order.
+func pktOrder(a, b pkt) int {
+	if a.flow != b.flow {
+		return a.flow - b.flow
 	}
-	for _, ds := range out {
-		// Stable: deliveries from the same source keep flow order, so
-		// multi-path payloads reassemble deterministically.
-		slices.SortStableFunc(ds, func(a, b Delivery) int {
-			if a.Src < b.Src {
-				return -1
-			}
-			if a.Src > b.Src {
-				return 1
-			}
-			return 0
-		})
-	}
-	return out, nil, nil
+	return a.idx - b.idx
 }
 
 // packetsOf returns the effective packet count of a flow: at least 1, and

@@ -1,10 +1,14 @@
 package router
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"boolcube/internal/cube"
+	"boolcube/internal/fabric"
+	"boolcube/internal/fault"
 	"boolcube/internal/machine"
 	"boolcube/internal/simnet"
 )
@@ -25,8 +29,7 @@ func TestSingleFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := got[7]
-	if len(ds) != 1 || ds[0].Src != 0 || len(ds[0].Data) != 3 {
+	if len(got) != 1 || got[0].Flow != 0 || len(got[0].Data) != 3 {
 		t.Fatalf("deliveries = %+v", got)
 	}
 	// 3 hops, each τ=1 + 3 bytes = 4: store-and-forward = 12.
@@ -42,7 +45,7 @@ func TestLocalFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got[1]) != 1 || got[1][0].Data[0] != 5 {
+	if len(got) != 1 || got[0].Data[0] != 5 {
 		t.Fatalf("local delivery broken: %+v", got)
 	}
 	if e.Stats().Sends != 0 {
@@ -58,7 +61,7 @@ func TestPacketSplitReassembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := got[3][0]
+	d := got[0]
 	if len(d.Data) != len(data) {
 		t.Fatalf("reassembled %d elems, want %d", len(d.Data), len(data))
 	}
@@ -141,14 +144,13 @@ func TestEcubeAllToAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for d := uint64(0); d < N; d++ {
-			if len(got[d]) != int(N)-1 {
-				t.Fatalf("%v: node %d got %d deliveries", ports, d, len(got[d]))
-			}
-			for _, del := range got[d] {
-				if del.Data[0] != float64(del.Src*100+d) {
-					t.Fatalf("%v: wrong payload %v from %d at %d", ports, del.Data, del.Src, d)
-				}
+		if len(got) != len(flows) {
+			t.Fatalf("%v: %d deliveries for %d flows", ports, len(got), len(flows))
+		}
+		for i, del := range got {
+			f := flows[i]
+			if del.Flow != i || del.Data[0] != float64(f.Src*100+f.Dst) {
+				t.Fatalf("%v: delivery %d (flow %d) has payload %v, want %d->%d's", ports, i, del.Flow, del.Data, f.Src, f.Dst)
 			}
 		}
 	}
@@ -183,24 +185,19 @@ func TestMPTFlowsDeliver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for x := uint64(0); x < N; x++ {
-		tr := cube.Tr(x, n)
-		if x == tr {
-			continue
-		}
-		total := 0
-		for _, d := range got[tr] {
-			if d.Src == x {
-				total += len(d.Data)
-				for _, v := range d.Data {
-					if v != float64(x) {
-						t.Fatalf("corrupted payload at %d from %d", tr, x)
-					}
-				}
+	total := make(map[uint64]int)
+	for _, d := range got {
+		x := flows[d.Flow].Src
+		total[x] += len(d.Data)
+		for _, v := range d.Data {
+			if v != float64(x) {
+				t.Fatalf("corrupted payload at %d from %d", cube.Tr(x, n), x)
 			}
 		}
-		if total != 8*cube.HalfHamming(x, n) { // 4 elems per path, 2H paths
-			t.Fatalf("node %b delivered %d elems to %b", x, total, tr)
+	}
+	for x := uint64(0); x < N; x++ {
+		if tr := cube.Tr(x, n); x != tr && total[x] != 8*cube.HalfHamming(x, n) { // 4 elems per path, 2H paths
+			t.Fatalf("node %b delivered %d elems to %b", x, total[x], tr)
 		}
 	}
 }
@@ -228,4 +225,110 @@ func TestDeterministicStats(t *testing.T) {
 	if e1.Stats() != e2.Stats() {
 		t.Errorf("nondeterministic: %+v vs %+v", e1.Stats(), e2.Stats())
 	}
+}
+
+// attributionFlows builds an MPT-style flow set on an n-cube: every node
+// sends to its complement over several disjoint routes with different
+// packet counts and payload sizes, plus one zero-hop flow, and every
+// element encodes its flow index, so a delivery handed to the wrong flow
+// shows in its payload.
+func attributionFlows(n int) []Flow {
+	N := uint64(1) << uint(n)
+	c := cube.New(n)
+	var flows []Flow
+	for s := uint64(0); s < N; s++ {
+		d := s ^ (N - 1)
+		for k, dims := range cube.DisjointPaths(c, s, d)[:3] {
+			flows = append(flows, Flow{Src: s, Dst: d, Dims: dims, Packets: k + 2})
+		}
+		flows = append(flows, Flow{Src: s, Dst: s})
+	}
+	for i := range flows {
+		flows[i].Data = make([]float64, 4+i%5)
+		for j := range flows[i].Data {
+			flows[i].Data[j] = float64(i*100 + j)
+		}
+	}
+	return flows
+}
+
+// checkAttributed fails unless every delivery carries its own flow's
+// payload, in ascending flow order.
+func checkAttributed(t *testing.T, flows []Flow, got []Delivery) {
+	t.Helper()
+	for k, d := range got {
+		if k > 0 && d.Flow <= got[k-1].Flow {
+			t.Fatalf("delivery %d: flow %d after flow %d", k, d.Flow, got[k-1].Flow)
+		}
+		if want := flows[d.Flow].Data; !slices.Equal(d.Data, want) {
+			t.Fatalf("flow %d delivered %v, want %v", d.Flow, d.Data, want)
+		}
+	}
+}
+
+// Deliveries are attributed by flow index, not by endpoints: several flows
+// per (src, dst) pair with different routes and packet counts, plus
+// zero-hop flows, each get back exactly their own payload — on a clean run
+// all of them, on a run that fails mid-way only the completed ones.
+func TestRunAttributesDeliveriesByFlow(t *testing.T) {
+	const n = 4
+	flows := attributionFlows(n)
+
+	e := engine(t, n, machine.NPort)
+	got, err := Run(e, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(flows) {
+		t.Fatalf("clean run delivered %d of %d flows", len(got), len(flows))
+	}
+	checkAttributed(t, flows, got)
+	makespan := e.Stats().Time
+
+	// The link kill takes every dimension-0 link down a third of the way in.
+	var kill fault.Spec
+	for x := uint64(0); x < 1<<n; x++ {
+		kill.Rules = append(kill.Rules, fault.Rule{Kind: fault.LinkDown, Link: fault.Link{From: x, Dim: 0}, Start: makespan / 3})
+	}
+	fails := []struct {
+		name string
+		arm  func(e *simnet.Engine)
+		want error
+	}{
+		{"deadline", func(e *simnet.Engine) { e.SetDeadline(makespan / 2) }, fabric.ErrDeadline},
+		{"link kill", func(e *simnet.Engine) { e.SetFaults(fault.MustCompile(kill, n), fabric.RetryPolicy{}) }, fabric.ErrLinkDown},
+	}
+	for _, fc := range fails {
+		name := fc.name
+		e := engine(t, n, machine.NPort)
+		fc.arm(e)
+		got, err := Run(e, flows)
+		if !errors.Is(err, fc.want) {
+			t.Fatalf("%s: run error %v, want %v", name, err, fc.want)
+		}
+		if len(got) == 0 || len(got) >= len(flows) {
+			t.Fatalf("%s: salvaged %d of %d flows, want a strict subset", name, len(got), len(flows))
+		}
+		checkAttributed(t, flows, got)
+	}
+}
+
+// A failed run lists a flow only once every packet of it is in. Node 1 has
+// one packet to send, then receives node 0's eight-packet stream as it
+// trickles in; the deadline cuts the stream half received.
+func TestRunOmitsPartlyDeliveredFlows(t *testing.T) {
+	flows := []Flow{
+		{Src: 0, Dst: 1, Dims: []int{0}, Packets: 8, Data: make([]float64, 16)},
+		{Src: 1, Dst: 0, Dims: []int{0}, Data: []float64{1}},
+	}
+	for i := range flows[0].Data {
+		flows[0].Data[i] = float64(i)
+	}
+	e := engine(t, 1, machine.NPort)
+	e.SetDeadline(17)
+	got, err := Run(e, flows)
+	if !errors.Is(err, fabric.ErrDeadline) {
+		t.Fatalf("run error %v, want a deadline abort", err)
+	}
+	checkAttributed(t, flows, got)
 }

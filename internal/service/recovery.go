@@ -170,26 +170,10 @@ func sortedNodes(set map[uint64]bool) []uint64 {
 // ends on a node in the dead view — the case that forces a remap; dead
 // intermediates on a route are the failover pass's cheaper problem.
 func (u *unit) touchesDead(dead map[uint64]bool) bool {
-	for _, sp := range u.spans {
-		if dead[sp.src] || dead[sp.dst] {
+	for _, sp := range u.Flows {
+		if dead[sp.Src] || dead[sp.Dst] {
 			return true
 		}
 	}
 	return false
-}
-
-// spanEndpoints collects the distinct endpoints of a unit's network spans,
-// in first-appearance order — the active set a remap must keep hosted.
-func spanEndpoints(spans []span) []uint64 {
-	seen := make(map[uint64]bool, 2*len(spans))
-	var out []uint64
-	for _, sp := range spans {
-		for _, nd := range [2]uint64{sp.src, sp.dst} {
-			if !seen[nd] {
-				seen[nd] = true
-				out = append(out, nd)
-			}
-		}
-	}
-	return out
 }

@@ -10,36 +10,21 @@ import (
 	"boolcube/internal/matrix"
 	"boolcube/internal/plan"
 	"boolcube/internal/remap"
-	"boolcube/internal/router"
 )
 
-// span is one source-routed transfer a unit still owes: the [off, off+len)
-// range of the (src, dst) canonical payload, the dimension path it follows,
-// and its pipelining grain. Spans are the unit's residual move-set in
-// executable form; a failed round rebuilds them from the delivery record.
-type span struct {
-	src, dst uint64
-	off, ln  int
-	dims     []int
-	packets  int
-}
-
 // unit is one execution unit of a round: a batch of jobs sharing a compiled
-// plan and a source distribution, their shared destination arrays, delivery
-// record, accrued cost, attempt count and the tightest deadline budget in
-// the batch. jobs[0] is the leader — it receives the real arrays; followers
-// receive deep copies.
+// plan and a source distribution. Its span set holds their shared
+// destination arrays, delivery record and the network spans still owed;
+// the unit adds the cost accrued across its rounds, the attempt count, the
+// tightest deadline budget in the batch and its crash casualties. jobs[0]
+// is the leader — it receives the real arrays; followers receive deep
+// copies.
 type unit struct {
-	jobs []*Job
-	p    *plan.Plan
-	src  *matrix.Dist
-
-	loc      [][]float64     // after-side local arrays, len = after.N()
-	del      *plan.Delivered // spans already placed in loc
-	stats    fabric.Stats    // cost accrued across this unit's rounds
+	*core.SpanSet
+	jobs     []*Job
+	stats    fabric.Stats // cost accrued across this unit's rounds
 	attempts int
 	budget   float64  // remaining deadline budget, µs (+Inf = none)
-	spans    []span   // residual network transfers
 	dead     []uint64 // crash casualties accumulated across this unit's rounds, ascending
 }
 
@@ -52,78 +37,20 @@ func budgetOf(j *Job) float64 {
 }
 
 // newUnit builds a fresh execution unit for one job: allocates the
-// destination arrays, places the src == dst self pairs host-side (they
-// never cross a link, so even a failed first round checkpoints with them
-// durable — the same discipline the dedicated executors use), and derives
-// the network spans. Flow plans keep their compiled path-system routes and
+// destination arrays with the self pairs placed host-side, and sets the
+// network spans. Flow plans keep their compiled path-system routes and
 // packetization; exchange and mixed-program plans execute their canonical
-// move-set over dimension-order direct routes, exactly as checkpoint
-// resume replays residuals.
+// move-set over dimension-order direct routes, exactly as checkpoint resume
+// replays residuals.
 func newUnit(j *Job, packets int) *unit {
-	p := j.plan
-	after := p.After()
-	mv := p.Moves()
-	u := &unit{
-		jobs:   []*Job{j},
-		p:      p,
-		src:    j.spec.Src,
-		loc:    make([][]float64, after.N()),
-		del:    plan.NewDelivered(),
-		budget: budgetOf(j),
+	u := &unit{SpanSet: core.NewSpanSet(j.plan, j.spec.Src), jobs: []*Job{j}, budget: budgetOf(j)}
+	if j.plan.Kind() == plan.KindFlow {
+		u.Flows = j.plan.Flows()
+	} else {
+		u.Rebuild(packets)
 	}
-	for i := range u.loc {
-		u.loc[i] = make([]float64, after.LocalSize())
-	}
-	for dp := 0; dp < after.N(); dp++ {
-		if dp < u.src.Layout.N() {
-			self := mv.Gather(uint64(dp), u.src.Local[dp], uint64(dp))
-			mv.Scatter(uint64(dp), u.loc[dp], uint64(dp), self)
-			u.del.Add(uint64(dp), uint64(dp), 0, len(self))
-		}
-	}
-	if p.Kind() == plan.KindFlow {
-		for _, f := range p.Flows() {
-			u.spans = append(u.spans, span{
-				src: f.Src, dst: f.Dst, off: f.Off, ln: f.Len,
-				dims: f.Dims, packets: f.Packets,
-			})
-		}
-		return u
-	}
-	u.rebuildSpans(packets)
 	return u
 }
-
-// rebuildSpans recomputes the unit's network spans from the residual
-// move-set (everything the delivery record does not cover), routing each
-// residual dimension-order. Self-pair residuals are replayed host-side on
-// the spot. Called at unit creation (non-flow plans) and after every
-// partially delivered round.
-func (u *unit) rebuildSpans(packets int) {
-	if packets <= 0 {
-		packets = u.p.Config().Packets
-	}
-	mv := u.p.Moves()
-	u.spans = u.spans[:0]
-	for _, r := range u.p.Remaining(u.del) {
-		if r.Src == r.Dst {
-			id := r.Src
-			if id < uint64(len(u.src.Local)) && u.loc[id] != nil {
-				data := mv.GatherRange(id, u.src.Local[id], id, r.Off, r.Len)
-				mv.ScatterRange(id, u.loc[id], id, r.Off, data)
-			}
-			u.del.Add(id, id, r.Off, r.Len)
-			continue
-		}
-		u.spans = append(u.spans, span{
-			src: r.Src, dst: r.Dst, off: r.Off, ln: r.Len,
-			dims: router.Ecube(r.Src, r.Dst, u.p.NDims()), packets: packets,
-		})
-	}
-}
-
-// pair keys the per-(dst, src) delivery FIFOs of a merged round.
-type pair struct{ dst, src uint64 }
 
 // runRound executes one round: the union of every unit's spans as one flow
 // set on one fresh engine. This is where multi-tenancy becomes physical —
@@ -143,19 +70,14 @@ type pair struct{ dst, src uint64 }
 // surfaces a *fabric.NodeDownError; its units absorb the casualties into
 // their dead sets and re-queue for recovery under the backoff policy.
 func (s *Service) runRound(units []*unit) {
-	type ref struct {
-		u  *unit
-		si int
-	}
-
 	// Relabel degraded units before building flows. A unit needs a remap
 	// only when a span endpoint is dead; its compiled routes are otherwise
 	// kept and the failover pass below handles dead intermediates.
 	avoid := s.quarantineSnapshot()
 	roundDead := make(map[uint64]bool)
-	asgOf := make(map[*unit]*remap.Assignment)
 	live := units[:0:0]
 	for _, u := range units {
+		u.Phys = nil
 		deadU := deadView(u.dead, avoid)
 		for nd := range deadU {
 			roundDead[nd] = true
@@ -163,14 +85,14 @@ func (s *Service) runRound(units []*unit) {
 		if len(deadU) > 0 && u.touchesDead(deadU) {
 			// Degrade to dimension-order residual spans (replaying any
 			// self pairs host-side), then embed them on the survivors.
-			u.rebuildSpans(s.cfg.Packets)
-			asg, err := remap.Plan(s.cfg.Dims, sortedNodes(deadU), spanEndpoints(u.spans))
+			u.Rebuild(s.cfg.Packets)
+			asg, err := remap.Plan(s.cfg.Dims, sortedNodes(deadU), u.Endpoints())
 			if err != nil {
 				s.failUnit(u, err)
 				continue
 			}
 			if asg.Degraded() {
-				asgOf[u] = asg
+				u.Phys = asg.Phys
 			}
 		}
 		live = append(live, u)
@@ -182,32 +104,22 @@ func (s *Service) runRound(units []*unit) {
 		eb = 8
 	}
 	var recoveryBytes int64
-	var flows []router.Flow
-	var refs []ref
+	sets := make([]*core.SpanSet, len(units))
+	spans := 0
 	roundBudget := math.Inf(1)
-	for _, u := range units {
+	for i, u := range units {
 		if u.budget < roundBudget {
 			roundBudget = u.budget
 		}
-		mv := u.p.Moves()
-		asg := asgOf[u]
-		for si, sp := range u.spans {
-			fsrc, fdst, dims := sp.src, sp.dst, sp.dims
-			if asg != nil {
-				fsrc, fdst = asg.Phys(sp.src), asg.Phys(sp.dst)
-				dims = asg.Route(sp.src, sp.dst)
+		sets[i] = u.SpanSet
+		spans += len(u.Flows)
+		if len(u.dead) > 0 {
+			for _, sp := range u.Flows {
+				recoveryBytes += int64(sp.Len * eb)
 			}
-			data := mv.GatherRange(sp.src, u.src.Local[sp.src], sp.dst, sp.off, sp.ln)
-			if len(u.dead) > 0 {
-				recoveryBytes += int64(len(data) * eb)
-			}
-			flows = append(flows, router.Flow{
-				Src: fsrc, Dst: fdst, Dims: dims, Packets: sp.packets, Data: data,
-			})
-			refs = append(refs, ref{u, si})
 		}
 	}
-	if len(flows) == 0 {
+	if spans == 0 {
 		// Everything was local (self pairs only) — no engine needed.
 		for _, u := range units {
 			s.completeUnit(u)
@@ -218,28 +130,21 @@ func (s *Service) runRound(units []*unit) {
 	// Route around links the fault view has already condemned and around
 	// every node this round treats as dead (a remapped unit's own route
 	// may otherwise thread a spare substitution through the corpse).
-	var rep router.FailoverReport
+	var down func(from uint64, dim int) bool
 	if s.faults != nil || len(roundDead) > 0 {
-		down := func(from uint64, dim int) bool {
+		down = func(from uint64, dim int) bool {
 			if s.faults != nil && s.faults.PermanentlyDown(from, dim) {
 				return true
 			}
 			return roundDead[from] || roundDead[from^(1<<uint(dim))]
 		}
-		var kept []int
-		var ferr error
-		flows, kept, rep, ferr = router.Failover(flows, s.cfg.Dims, down, false)
-		if ferr != nil {
-			for _, u := range units {
-				s.failUnit(u, ferr)
-			}
-			return
+	}
+	fr, err := core.NewFlowRun(s.cfg.Dims, sets, down, false)
+	if err != nil {
+		for _, u := range units {
+			s.failUnit(u, err)
 		}
-		reref := make([]ref, len(kept))
-		for i, fi := range kept {
-			reref[i] = refs[fi]
-		}
-		refs = reref
+		return
 	}
 
 	e, err := fabric.New(s.cfg.Backend, s.cfg.Dims, s.cfg.Machine)
@@ -257,11 +162,9 @@ func (s *Service) runRound(units []*unit) {
 	if !math.IsInf(roundBudget, 1) {
 		e.SetDeadline(roundBudget)
 	}
-	deliveries, part, runErr := router.RunRecover(e, flows)
-	st := e.Stats()
-	st.Rerouted = rep.Rerouted
-	st.ExtraHops = rep.ExtraHops
-	st.Abandoned = rep.Abandoned
+	// The flow run places every delivered flow into its own unit — on a
+	// failed run, the flows that completed.
+	st, runErr := fr.Run(e)
 	if s.faults != nil {
 		// The machine's clock accumulates across rounds: advance the fault
 		// view by this round's makespan, so fired kills become permanent
@@ -275,15 +178,7 @@ func (s *Service) runRound(units []*unit) {
 	s.mu.Unlock()
 
 	if runErr != nil {
-		// Salvage completed flows into their units, then classify each
-		// unit: fail with checkpoints, or absorb and resume.
-		for k, fi := range part.FlowIdx {
-			r := refs[fi]
-			sp := r.u.spans[r.si]
-			mv := r.u.p.Moves()
-			mv.ScatterRange(sp.dst, r.u.loc[sp.dst], sp.src, sp.off, part.Data[k])
-			r.u.del.Add(sp.src, sp.dst, sp.off, len(part.Data[k]))
-		}
+		// Classify each unit: fail with checkpoints, or absorb and resume.
 		// A node-down abort is recoverable hardware loss, not a job
 		// failure: feed the circuit breaker, fold the casualties into
 		// every unit's dead set, and re-queue survivors of the attempt
@@ -304,8 +199,8 @@ func (s *Service) runRound(units []*unit) {
 					s.failUnit(u, runErr)
 					continue
 				}
-				u.rebuildSpans(s.cfg.Packets)
-				if len(u.spans) == 0 {
+				u.Rebuild(s.cfg.Packets)
+				if len(u.Flows) == 0 {
 					s.completeUnit(u)
 					continue
 				}
@@ -336,8 +231,8 @@ func (s *Service) runRound(units []*unit) {
 				s.failUnit(u, runErr)
 				continue
 			}
-			u.rebuildSpans(s.cfg.Packets)
-			if len(u.spans) == 0 {
+			u.Rebuild(s.cfg.Packets)
+			if len(u.Flows) == 0 {
 				s.completeUnit(u)
 				continue
 			}
@@ -349,33 +244,6 @@ func (s *Service) runRound(units []*unit) {
 		}
 		return
 	}
-
-	// Zip deliveries back to (unit, span): per (dst, src) pair, deliveries
-	// arrive in global flow-injection order (the router sorts each node's
-	// deliveries stably by source), so a per-pair FIFO of merged flow
-	// indices attributes every chunk even when several tenants share a
-	// processor pair.
-	fifo := make(map[pair][]int)
-	for k, f := range flows {
-		key := pair{f.Dst, f.Src}
-		fifo[key] = append(fifo[key], k)
-	}
-	next := make(map[pair]int)
-	for dst, ds := range deliveries {
-		for _, dl := range ds {
-			key := pair{dst, dl.Src}
-			k := fifo[key][next[key]]
-			next[key]++
-			r := refs[k]
-			sp := r.u.spans[r.si]
-			mv := r.u.p.Moves()
-			// Scatter by the span's logical ids, not the wire endpoints —
-			// under a remap the flow traveled between physical hosts, but
-			// the payload still belongs to the logical (src, dst) pair.
-			mv.ScatterRange(sp.dst, r.u.loc[sp.dst], sp.src, sp.off, dl.Data)
-			r.u.del.Add(sp.src, sp.dst, sp.off, len(dl.Data))
-		}
-	}
 	for _, u := range units {
 		u.stats = u.stats.Merge(st)
 		s.completeUnit(u)
@@ -386,11 +254,11 @@ func (s *Service) runRound(units []*unit) {
 // the unit's own arrays; every follower gets an independent deep copy —
 // batched tenants must each own their result.
 func (s *Service) completeUnit(u *unit) {
-	after := u.p.After()
+	after := u.Plan.After()
 	for i, j := range u.jobs {
-		loc := u.loc
+		loc := u.Loc
 		if i > 0 {
-			loc = copyLoc(u.loc)
+			loc = copyLoc(u.Loc)
 		}
 		res := &core.Result{
 			Dist:  &matrix.Dist{Layout: after, Local: loc[:after.N()]},
@@ -413,12 +281,12 @@ func (s *Service) completeUnit(u *unit) {
 // core.Resume independently and finish element-exact on a private engine.
 func (s *Service) failUnit(u *unit, cause error) {
 	for i, j := range u.jobs {
-		loc, del := u.loc, u.del
+		loc, del := u.Loc, u.Delivered
 		if i > 0 {
-			loc, del = copyLoc(u.loc), u.del.Clone()
+			loc, del = copyLoc(u.Loc), u.Delivered.Clone()
 		}
 		cp := &core.Checkpoint{
-			Plan: u.p, Src: u.src, Loc: loc, Delivered: del,
+			Plan: u.Plan, Src: u.Src, Loc: loc, Delivered: del,
 			Stats: u.stats, At: u.stats.Time,
 			Opts: core.ExecOptions{Backend: s.cfg.Backend},
 			Dead: u.dead,

@@ -55,7 +55,7 @@ type crashResumeOutcome struct {
 	nodes     []uint64
 	at        float64
 	detect    float64
-	stats     Stats
+	stats     fabric.Stats
 	doneIdx   []int     // flows salvaged complete from the failed run
 	recovered []float64 // multiset of every element delivered across both runs
 }
@@ -73,12 +73,12 @@ func runCrashResume(t *testing.T, n, elems, shards int, victim uint64, crashAt f
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetFaults(fp, RetryPolicy{})
+	e.SetFaults(fp, fabric.RetryPolicy{})
 	e.SetShards(shards)
-	_, part, rerr := router.RunRecover(e, flows)
+	part, rerr := router.Run(e, flows)
 	var nde *fabric.NodeDownError
 	if !errors.As(rerr, &nde) {
-		t.Fatalf("RunRecover(shards=%d) = %v, want *fabric.NodeDownError", shards, rerr)
+		t.Fatalf("Run(shards=%d) = %v, want *fabric.NodeDownError", shards, rerr)
 	}
 
 	out := crashResumeOutcome{
@@ -87,18 +87,20 @@ func runCrashResume(t *testing.T, n, elems, shards int, victim uint64, crashAt f
 		at:      nde.At,
 		detect:  nde.DetectedAt,
 		stats:   e.Stats(),
-		doneIdx: append([]int(nil), part.FlowIdx...),
 	}
 	var salvaged [][]float64
-	salvaged = append(salvaged, part.Data...)
+	for _, d := range part {
+		out.doneIdx = append(out.doneIdx, d.Flow)
+		salvaged = append(salvaged, d.Data)
+	}
 
 	// The checkpoint: completed flows are durable, everything else is the
 	// residual. Relabel the residual onto the survivors (the victim is an
 	// active endpoint, so the remap folds the cube) and rerun it on a fresh
 	// engine with the same shard count.
-	done := make(map[int]bool, len(part.FlowIdx))
-	for _, fi := range part.FlowIdx {
-		done[fi] = true
+	done := make(map[int]bool, len(part))
+	for _, d := range part {
+		done[d.Flow] = true
 	}
 	var active []uint64
 	seen := make(map[uint64]bool)
@@ -136,10 +138,8 @@ func runCrashResume(t *testing.T, n, elems, shards int, victim uint64, crashAt f
 	if err != nil {
 		t.Fatalf("resumed run (shards=%d) failed: %v", shards, err)
 	}
-	for _, ds := range deliveries {
-		for _, dl := range ds {
-			salvaged = append(salvaged, dl.Data)
-		}
+	for _, dl := range deliveries {
+		salvaged = append(salvaged, dl.Data)
 	}
 	out.recovered = flattenSorted(salvaged...)
 	return out

@@ -51,7 +51,7 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 			}
 		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "deadlock") }},
 		{"deadline", func(e *Engine) { e.SetDeadline(5) }, ringProg(8),
-			func(err error) bool { return errors.Is(err, ErrDeadline) }},
+			func(err error) bool { return errors.Is(err, fabric.ErrDeadline) }},
 		{"prologue-panic", nil, func(nd fabric.Node) {
 			if nd.ID() == 1 {
 				panic("boom")
@@ -59,14 +59,14 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 			ringProg(2)(nd)
 		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "panicked: boom") }},
 		{"midrun-panic", nil, func(nd fabric.Node) {
-			nd.Exchange(0, Msg{Data: []float64{1}})
+			nd.Exchange(0, fabric.Msg{Data: []float64{1}})
 			if nd.ID() == 1 {
 				panic("boom")
 			}
 			ringProg(2)(nd)
 		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "panicked: boom") }},
 		{"fail", nil, func(nd fabric.Node) {
-			nd.Exchange(0, Msg{Data: []float64{1}})
+			nd.Exchange(0, fabric.Msg{Data: []float64{1}})
 			if nd.ID() == 2 {
 				nd.Fail(errBoom)
 			}
@@ -77,15 +77,15 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.SetFaults(fp, RetryPolicy{})
-		}, ringProg(2), func(err error) bool { return errors.Is(err, ErrLinkDown) }},
+			e.SetFaults(fp, fabric.RetryPolicy{})
+		}, ringProg(2), func(err error) bool { return errors.Is(err, fabric.ErrLinkDown) }},
 		{"crash-stop", func(e *Engine) {
 			fp, err := fault.Compile(fault.NodeCrash(5, 3), e.Dims())
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.SetFaults(fp, RetryPolicy{})
-		}, ringProg(8), func(err error) bool { return errors.Is(err, ErrNodeDown) }},
+			e.SetFaults(fp, fabric.RetryPolicy{})
+		}, ringProg(8), func(err error) bool { return errors.Is(err, fabric.ErrNodeDown) }},
 	}
 	schedulers := []struct {
 		name  string

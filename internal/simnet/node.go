@@ -33,13 +33,13 @@ func (nd *Node) Neighbor(d int) uint64 {
 // result message and (for sends under fault injection) its error. A yield
 // that returns false means the engine failed and is unwinding the node
 // (drainAll): the program panics with errPoisoned, which runProg swallows.
-func (nd *Node) submit(o op) (Msg, error) {
+func (nd *Node) submit(o op) (fabric.Msg, error) {
 	nd.pending = o
 	if !nd.yield(struct{}{}) {
 		panic(errPoisoned) //cubevet:ignore liberrors -- control-flow sentinel, recovered by runProg
 	}
 	m := nd.result
-	nd.result = Msg{}
+	nd.result = fabric.Msg{}
 	return m, nd.opErr
 }
 
@@ -47,7 +47,7 @@ func (nd *Node) submit(o op) (Msg, error) {
 // to its coroutine, which runs the program until its next timed operation
 // parks it again. A program that has returned (or panicked) leaves the
 // pending opDone for the engine to retire.
-func (nd *Node) resume(m Msg) {
+func (nd *Node) resume(m fabric.Msg) {
 	nd.result = m
 	if _, ok := nd.next(); !ok {
 		nd.pending = op{kind: opDone}
@@ -95,7 +95,7 @@ func (nd *Node) Fail(err error) {
 // (link down, retry budget exhausted) the node program is aborted and Run
 // returns the typed *FaultError; programs that handle failures themselves
 // use TrySend.
-func (nd *Node) Send(dim int, m Msg) {
+func (nd *Node) Send(dim int, m fabric.Msg) {
 	if err := nd.TrySend(dim, m); err != nil {
 		panic(&nodeAbort{err: err})
 	}
@@ -105,7 +105,7 @@ func (nd *Node) Send(dim int, m Msg) {
 // budget, every retransmission dropped) is returned as a *FaultError
 // instead of aborting the program. The retry/backoff budget has already
 // been charged to the node's clock when TrySend returns.
-func (nd *Node) TrySend(dim int, m Msg) error {
+func (nd *Node) TrySend(dim int, m fabric.Msg) error {
 	nd.checkDim(dim)
 	_, err := nd.submit(op{kind: opSend, dim: dim, msg: m})
 	return err
@@ -113,7 +113,7 @@ func (nd *Node) TrySend(dim int, m Msg) error {
 
 // Recv blocks until a message arrives from the neighbor across dimension
 // dim and returns it. Messages on one link are delivered in FIFO order.
-func (nd *Node) Recv(dim int) Msg {
+func (nd *Node) Recv(dim int) fabric.Msg {
 	nd.checkDim(dim)
 	m, _ := nd.submit(op{kind: opRecv, dim: dim})
 	return m
@@ -121,7 +121,7 @@ func (nd *Node) Recv(dim int) Msg {
 
 // RecvAny blocks until a message arrives on any dimension and returns the
 // earliest-arriving one (ties broken by global send order).
-func (nd *Node) RecvAny() Msg {
+func (nd *Node) RecvAny() fabric.Msg {
 	m, _ := nd.submit(op{kind: opRecvAny})
 	return m
 }
@@ -130,7 +130,7 @@ func (nd *Node) RecvAny() Msg {
 // same dimension. With bi-directional links the send and receive overlap,
 // so on a one-port machine an exchange costs the same as one send
 // (Section 2 of the paper).
-func (nd *Node) Exchange(dim int, m Msg) Msg {
+func (nd *Node) Exchange(dim int, m fabric.Msg) fabric.Msg {
 	nd.Send(dim, m)
 	return nd.Recv(dim)
 }

@@ -20,10 +20,10 @@ import (
 // models and under fault injection.
 
 type eventLog struct {
-	events []simnet.TraceEvent
+	events []fabric.TraceEvent
 }
 
-func (l *eventLog) Record(ev simnet.TraceEvent) { l.events = append(l.events, ev) }
+func (l *eventLog) Record(ev fabric.TraceEvent) { l.events = append(l.events, ev) }
 
 // A schedStep is one synchronous phase of the randomized symmetric program.
 // Every node executes the same step kinds in the same order (with payload
@@ -66,9 +66,9 @@ func genScript(rng *rand.Rand, n, steps int) []schedStep {
 }
 
 type schedOutcome struct {
-	events []simnet.TraceEvent
-	stats  simnet.Stats
-	loads  []simnet.LinkLoad
+	events []fabric.TraceEvent
+	stats  fabric.Stats
+	loads  []fabric.LinkLoad
 	err    string
 }
 
@@ -107,7 +107,7 @@ func runScriptCfg(t *testing.T, n int, params machine.Params, script []schedStep
 		e.SetDeadline(cfg.deadline)
 	}
 	if faults != nil {
-		e.SetFaults(faults, simnet.RetryPolicy{Attempts: 12})
+		e.SetFaults(faults, fabric.RetryPolicy{Attempts: 12})
 	}
 	runErr := e.Run(func(nd fabric.Node) {
 		id := int(nd.ID())
@@ -116,12 +116,12 @@ func runScriptCfg(t *testing.T, n int, params machine.Params, script []schedStep
 			switch s.kind {
 			case 0:
 				sz := 1 + (id*7+si*3)%29
-				nd.Send(s.dim, simnet.Msg{Data: nd.AllocData(sz)})
+				nd.Send(s.dim, fabric.Msg{Data: nd.AllocData(sz)})
 				nd.Recycle(nd.Recv(s.dim))
 			case 1:
 				for _, d := range s.dims {
 					sz := 1 + (id+5*d+si)%17
-					nd.Send(d, simnet.Msg{Data: nd.AllocData(sz)})
+					nd.Send(d, fabric.Msg{Data: nd.AllocData(sz)})
 				}
 				for range s.dims {
 					nd.Recycle(nd.RecvAny())

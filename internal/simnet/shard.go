@@ -52,6 +52,8 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+
+	"boolcube/internal/fabric"
 )
 
 // autoShardNodes is the node count at which SetShards(0) engages the
@@ -169,8 +171,9 @@ func (f *failCand) before(g *failCand) bool {
 	return f.opIdx < g.opIdx
 }
 
-// recBefore orders a record against a failure key (inclusive commit: the
-// failing operation's own record is applied).
+// recAfterFail reports whether a record orders strictly after a failure
+// key, so commit stops there (inclusive commit: the failing operation's own
+// record is applied).
 func recAfterFail(r *opRec, f *failCand) bool {
 	if r.act != f.act {
 		return r.act > f.act
@@ -193,7 +196,7 @@ type shard struct {
 
 	// Record mode: per-op commit records plus their trace events.
 	recs   []opRec
-	events []TraceEvent
+	events []fabric.TraceEvent
 	cur    *opRec // open record of the operation being executed
 
 	acc        statAcc
@@ -340,7 +343,7 @@ func (e *Engine) runSharded(p int) error {
 	run.each(nil, func(sh *shard) {
 		lo := min(sh.id*run.shardSize, e.nodesCount)
 		for _, nd := range e.nodes[lo:min(lo+run.shardSize, e.nodesCount)] {
-			nd.resume(Msg{})
+			nd.resume(fabric.Msg{})
 		}
 	})
 	// Surface prologue failures in node-id order, matching the serial

@@ -150,7 +150,7 @@ func TestShardDeadlockReported(t *testing.T) {
 		}
 		err = e.Run(func(nd fabric.Node) {
 			if nd.ID() == 0 {
-				nd.Send(0, simnet.Msg{Data: []float64{1}})
+				nd.Send(0, fabric.Msg{Data: []float64{1}})
 			}
 			if nd.ID() != 1 {
 				nd.Recv(0) // nodes 2, 3 wait forever
@@ -184,7 +184,7 @@ func TestShardProgramPanic(t *testing.T) {
 		}
 		err = e.Run(func(nd fabric.Node) {
 			for d := 0; d < nd.Dims(); d++ {
-				nd.Exchange(d, simnet.Msg{Data: []float64{1}})
+				nd.Exchange(d, fabric.Msg{Data: []float64{1}})
 			}
 			if nd.ID() == 3 {
 				panic("boom")
@@ -210,7 +210,7 @@ func TestShardAutoEquivalence(t *testing.T) {
 		t.Skip("auto-shard equivalence is covered by the 12-cube smoke in check.sh")
 	}
 	// 11-cube (2048 nodes) is the smallest auto-sharded size.
-	stats := func(force int) simnet.Stats {
+	stats := func(force int) fabric.Stats {
 		e, err := simnet.New(11, machine.IPSCNPort())
 		if err != nil {
 			t.Fatal(err)
@@ -218,7 +218,7 @@ func TestShardAutoEquivalence(t *testing.T) {
 		e.SetShards(force)
 		err = e.Run(func(nd fabric.Node) {
 			for d := nd.Dims() - 1; d >= 0; d-- {
-				m := nd.Exchange(d, simnet.Msg{Data: nd.AllocData(4)})
+				m := nd.Exchange(d, fabric.Msg{Data: nd.AllocData(4)})
 				nd.Recycle(m)
 			}
 		})
@@ -242,7 +242,7 @@ func TestCube12ShardedSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("12-cube smoke skipped in -short mode (run by check.sh explicitly)")
 	}
-	run := func(force int) simnet.Stats {
+	run := func(force int) fabric.Stats {
 		e, err := simnet.New(12, machine.ConnectionMachine())
 		if err != nil {
 			t.Fatal(err)
@@ -250,7 +250,7 @@ func TestCube12ShardedSmoke(t *testing.T) {
 		e.SetShards(force)
 		err = e.Run(func(nd fabric.Node) {
 			for d := nd.Dims() - 1; d >= 0; d-- {
-				m := nd.Exchange(d, simnet.Msg{Data: nd.AllocData(8)})
+				m := nd.Exchange(d, fabric.Msg{Data: nd.AllocData(8)})
 				nd.Recycle(m)
 			}
 		})

@@ -54,21 +54,8 @@ import (
 )
 
 // The wire-level types are shared by every backend and live in
-// internal/fabric; the aliases keep simnet's historical API surface (and
-// every existing caller) intact while making *Node and *Engine satisfy the
-// fabric.Node and fabric.Fabric contracts structurally.
-
-// Part is one logical block inside a multi-block message (fabric.Part).
-type Part = fabric.Part
-
-// Msg is a message traveling over one cube link (fabric.Msg). Send
-// transfers ownership of its buffers to the receiver.
-type Msg = fabric.Msg
-
-// Stats aggregates what the paper measures (fabric.Stats): simulated
-// elapsed time, communication start-ups, transferred volume and link load —
-// plus, under fault injection, how much the run degraded.
-type Stats = fabric.Stats
+// internal/fabric; *Node and *Engine satisfy the fabric.Node and
+// fabric.Fabric contracts structurally.
 
 type opKind int
 
@@ -84,13 +71,13 @@ const (
 type op struct {
 	kind  opKind
 	dim   int
-	msg   Msg
+	msg   fabric.Msg
 	bytes int
 	dt    float64
 }
 
 type arrival struct {
-	msg     Msg
+	msg     fabric.Msg
 	at      float64 // transmission completion at receiver
 	dur     float64 // transmission duration (for receive-port serialization)
 	fromDim int
@@ -137,8 +124,8 @@ type Node struct {
 
 	queues  []inQueue // inbound, per dimension
 	pending op
-	result  Msg   // set by the engine before resume: the op's received message
-	opErr   error // set by the engine before resume (fault injection)
+	result  fabric.Msg // set by the engine before resume: the op's received message
+	opErr   error      // set by the engine before resume (fault injection)
 	done    bool
 	crashed bool // crash-stop fired; stays parked until drainAll, never done
 	failure error
@@ -180,8 +167,8 @@ type Engine struct {
 
 	pool bufPool
 
-	faults   FaultModel
-	retry    RetryPolicy
+	faults   fabric.FaultModel
+	retry    fabric.RetryPolicy
 	deadline float64 // virtual-time budget; +Inf when unset (see SetDeadline)
 
 	// Crash-stop schedule (crash.go); nil unless the fault model implements
@@ -190,22 +177,14 @@ type Engine struct {
 	crashT       []float64 // per-node crash time, +Inf when the node survives
 	crashedCount int       // crashes fired this run
 
-	stats   Stats
-	tracer  Tracer
+	stats   fabric.Stats
+	tracer  fabric.Tracer
 	started bool // engines are one-shot; see Run
 	debug   bool // SIMNET_DEBUG assertions, snapshotted in New
 }
 
-// TraceEvent is one timed operation of one node (fabric.TraceEvent).
-type TraceEvent = fabric.TraceEvent
-
-// Tracer receives every timed operation as it executes, in deterministic
-// engine order (fabric.Tracer). Implementations must not call back into
-// the engine.
-type Tracer = fabric.Tracer
-
 // SetTracer installs a tracer for subsequent Runs (nil disables tracing).
-func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
+func (e *Engine) SetTracer(t fabric.Tracer) { e.tracer = t }
 
 // SetReferenceScheduler selects the original O(N)-scan scheduler instead of
 // the indexed ready queue for the next Run. The two schedulers make
@@ -215,7 +194,7 @@ func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
 // Must be called before Run.
 func (e *Engine) SetReferenceScheduler(on bool) { e.refSched = on }
 
-func (e *Engine) trace(ev TraceEvent) {
+func (e *Engine) trace(ev fabric.TraceEvent) {
 	if e.tracer != nil {
 		e.tracer.Record(ev)
 	}
@@ -292,22 +271,18 @@ func (e *Engine) Nodes() int { return e.nodesCount }
 func (e *Engine) Params() machine.Params { return e.params }
 
 // Stats returns the accumulated statistics of the last Run.
-func (e *Engine) Stats() Stats { return e.stats }
-
-// LinkLoad reports the traffic carried by one directed link
-// (fabric.LinkLoad).
-type LinkLoad = fabric.LinkLoad
+func (e *Engine) Stats() fabric.Stats { return e.stats }
 
 // LinkLoads returns the per-directed-link traffic of the last Run, sorted
 // by (From, Dim). Links that carried no traffic are omitted.
-func (e *Engine) LinkLoads() []LinkLoad {
-	var out []LinkLoad
+func (e *Engine) LinkLoads() []fabric.LinkLoad {
+	var out []fabric.LinkLoad
 	for li, used := range e.linkUsed {
 		if !used {
 			continue
 		}
 		// Dense iteration order is ascending (From, Dim) by construction.
-		out = append(out, LinkLoad{
+		out = append(out, fabric.LinkLoad{
 			From:  uint64(li / e.n),
 			Dim:   li % e.n,
 			Bytes: e.linkBytes[li],
@@ -387,7 +362,7 @@ func (e *Engine) Run(prog func(fabric.Node)) error {
 	for _, nd := range e.nodes {
 		nd.spawn(prog)
 		if p == 0 {
-			nd.resume(Msg{})
+			nd.resume(fabric.Msg{})
 		}
 	}
 	var err error
@@ -666,25 +641,25 @@ func (e *Engine) actionTime(nd *Node) (float64, bool) {
 // the pending operation was opDone: the node has finished and is not
 // resumed.
 func (e *Engine) execute(nd *Node) bool {
-	var m Msg
+	var m fabric.Msg
 	nd.opErr = nil
 	switch nd.pending.kind {
 	case opSend:
 		nd.opErr = e.doSend(nd, nd.pending.dim, nd.pending.msg)
-		nd.pending.msg = Msg{} // ownership moved to the destination queue
+		nd.pending.msg = fabric.Msg{} // ownership moved to the destination queue
 	case opRecv:
 		m = e.doRecv(nd, nd.pending.dim)
 	case opRecvAny:
 		m = e.doRecvAny(nd)
 	case opCopy:
 		t := e.params.CopyTime(nd.pending.bytes)
-		e.traceN(nd, TraceEvent{Node: nd.id, Kind: "copy", Dim: -1,
+		e.traceN(nd, fabric.TraceEvent{Node: nd.id, Kind: "copy", Dim: -1,
 			Bytes: nd.pending.bytes, Start: nd.clock, End: nd.clock + t})
 		nd.clock += t
 		e.addCopy(nd, t, int64(nd.pending.bytes))
 		e.bumpTime(nd, nd.clock)
 	case opAdvance:
-		e.traceN(nd, TraceEvent{Node: nd.id, Kind: "compute", Dim: -1,
+		e.traceN(nd, fabric.TraceEvent{Node: nd.id, Kind: "compute", Dim: -1,
 			Start: nd.clock, End: nd.clock + nd.pending.dt})
 		nd.clock += nd.pending.dt
 		e.bumpTime(nd, nd.clock)
@@ -716,7 +691,7 @@ func (e *Engine) addCopy(nd *Node, t float64, bytes int64) {
 // doSend executes one send operation. The returned error is non-nil only
 // under fault injection, when the transmission fails past the retry budget;
 // it is delivered to the node (TrySend returns it, Send aborts with it).
-func (e *Engine) doSend(nd *Node, dim int, m Msg) error {
+func (e *Engine) doSend(nd *Node, dim int, m fabric.Msg) error {
 	bytes := len(m.Data) * e.params.ElemBytes
 	dur, startups := e.params.SendTime(bytes)
 	port := e.portIndex(dim)
@@ -751,7 +726,7 @@ func (e *Engine) doSend(nd *Node, dim int, m Msg) error {
 		e.stats.Sends++
 	}
 	nd.clock = start
-	e.traceN(nd, TraceEvent{Node: nd.id, Kind: "send", Dim: dim, Bytes: bytes, Start: start, End: end})
+	e.traceN(nd, fabric.TraceEvent{Node: nd.id, Kind: "send", Dim: dim, Bytes: bytes, Start: start, End: end})
 
 	a := arrival{msg: m, at: end, dur: dur, fromDim: dim, act: start}
 	dest := int(nd.id ^ 1<<uint(dim))
@@ -777,11 +752,11 @@ func (e *Engine) clearFaults(nd *Node, dim, li, port, bytes int, dur float64, st
 		if !up {
 			// A zero-length drop event records the attempt that found the
 			// link down and the remaining down-window [Start, DownUntil).
-			e.traceN(nd, TraceEvent{Node: nd.id, Kind: "drop", Dim: dim, Start: start, End: start,
+			e.traceN(nd, fabric.TraceEvent{Node: nd.id, Kind: "drop", Dim: dim, Start: start, End: start,
 				Attempt: attempts, DownUntil: nextUp})
 			if math.IsInf(nextUp, 1) || attempts >= e.retry.Attempts {
-				return start, &FaultError{From: nd.id, To: nd.id ^ 1<<uint(dim), Dim: dim,
-					At: start, Attempts: attempts, Err: ErrLinkDown}
+				return start, &fabric.FaultError{From: nd.id, To: nd.id ^ 1<<uint(dim), Dim: dim,
+					At: start, Attempts: attempts, Err: fabric.ErrLinkDown}
 			}
 			e.addRetry(nd)
 			start = math.Max(nextUp, start+e.retry.Backoff)
@@ -804,11 +779,11 @@ func (e *Engine) clearFaults(nd *Node, dim, li, port, bytes int, dur float64, st
 		} else {
 			e.stats.Drops++
 		}
-		e.traceN(nd, TraceEvent{Node: nd.id, Kind: "drop", Dim: dim, Bytes: bytes, Start: start, End: end,
+		e.traceN(nd, fabric.TraceEvent{Node: nd.id, Kind: "drop", Dim: dim, Bytes: bytes, Start: start, End: end,
 			Attempt: attempts})
 		if attempts >= e.retry.Attempts {
-			return end, &FaultError{From: nd.id, To: nd.id ^ 1<<uint(dim), Dim: dim,
-				At: start, Attempts: attempts, Err: ErrRetryBudget}
+			return end, &fabric.FaultError{From: nd.id, To: nd.id ^ 1<<uint(dim), Dim: dim,
+				At: start, Attempts: attempts, Err: fabric.ErrRetryBudget}
 		}
 		e.addRetry(nd)
 		start = end + e.retry.Backoff
@@ -877,12 +852,12 @@ func (e *Engine) addRetry(nd *Node) {
 	e.stats.Retries++
 }
 
-func (e *Engine) doRecv(nd *Node, dim int) Msg {
+func (e *Engine) doRecv(nd *Node, dim int) fabric.Msg {
 	a := nd.queues[dim].pop()
 	return e.finishRecv(nd, a)
 }
 
-func (e *Engine) doRecvAny(nd *Node) Msg {
+func (e *Engine) doRecvAny(nd *Node) fabric.Msg {
 	bestDim := -1
 	for d := range nd.queues {
 		q := &nd.queues[d]
@@ -923,13 +898,13 @@ func (nd *Node) anyLess(f *arrival, fd int, g *arrival, gd int) bool {
 // duration d completes at max(arrival, prevCompletion + d) on the relevant
 // receive port, which costs nothing when the port is idle and serializes
 // concurrent arrivals on a one-port node.
-func (e *Engine) finishRecv(nd *Node, a arrival) Msg {
+func (e *Engine) finishRecv(nd *Node, a arrival) fabric.Msg {
 	port := e.portIndex(a.fromDim)
 	completion := math.Max(a.at, nd.recvFree[port]+a.dur)
 	nd.recvFree[port] = completion
 	nd.clock = math.Max(nd.clock, completion)
 	e.bumpTime(nd, nd.clock)
-	e.traceN(nd, TraceEvent{Node: nd.id, Kind: "recv", Dim: a.fromDim,
+	e.traceN(nd, fabric.TraceEvent{Node: nd.id, Kind: "recv", Dim: a.fromDim,
 		Bytes: len(a.msg.Data) * e.params.ElemBytes, Start: completion - a.dur, End: completion})
 	return a.msg
 }
@@ -957,7 +932,7 @@ func (e *Engine) bumpTime(nd *Node, t float64) {
 // traceN routes a node's trace event: directly to the tracer under the
 // serial schedulers, into the shard's event buffer under the sharded one
 // (flushed to the tracer in canonical order at the epoch barrier).
-func (e *Engine) traceN(nd *Node, ev TraceEvent) {
+func (e *Engine) traceN(nd *Node, ev fabric.TraceEvent) {
 	if sh := nd.sh; sh != nil {
 		if e.tracer != nil {
 			sh.events = append(sh.events, ev)

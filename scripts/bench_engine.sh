@@ -1,12 +1,17 @@
 #!/bin/sh
 # Benchmark the simnet engine hot path: the indexed ready-queue scheduler
 # against the retained linear-scan reference on the repeated 8-cube exchange
-# transpose (pooled payloads, -benchmem), the sharded epoch scheduler against
-# the serial indexed one on a 10-cube all-to-all, the Connection Machine
+# transpose (pooled payloads, -benchmem), the sharded epoch scheduler (two
+# workers) against the serial indexed one on a 12-cube all-to-all, the
+# Connection Machine
 # scale 16-cube (65,536 node) SBnT all-to-all with its retained bytes/node
 # footprint, plus the wall-clock of the full experiment sweep
 # (`go run ./cmd/experiments -all`) and the Section 9 CM crossover rows.
-# Emits BENCH_engine.json in the repository root.
+#
+# Usage: scripts/bench_engine.sh [out.json]
+# Writes BENCH_engine.json in the repository root unless another output
+# path is given (check.sh passes a temporary file, so its smoke run never
+# overwrites the committed record).
 #
 # sweep_baseline_s is the measured wall-clock of the serial sweep at the
 # scheduler's introduction (linear scan, no pooling, serial harness) on the
@@ -25,15 +30,15 @@ cd "$(dirname "$0")/.."
 
 COUNT="${BENCH_COUNT:-10x}"
 CUBE16="${CUBE16_COUNT:-2x}"
-OUT=BENCH_engine.json
+OUT="${1:-BENCH_engine.json}"
 BASELINE_S=61.4
 
 raw=$(go test -run '^$' -bench 'BenchmarkEngineTransposeIndexed$|BenchmarkEngineTransposeReference$' \
 	-benchmem -benchtime "$COUNT" ./internal/simnet/)
 echo "$raw"
 
-echo "==> sharded-vs-serial pair (10-cube all-to-all, $COUNT)"
-shraw=$(go test -run '^$' -bench 'BenchmarkEngineCube10Sharded$|BenchmarkEngineCube10Serial$' \
+echo "==> sharded-vs-serial pair (12-cube all-to-all, P=2, $COUNT)"
+shraw=$(go test -run '^$' -bench 'BenchmarkEngineCube12Sharded$|BenchmarkEngineCube12Serial$' \
 	-benchmem -benchtime "$COUNT" ./internal/simnet/)
 echo "$shraw"
 
@@ -74,8 +79,8 @@ printf '%s\n%s\n%s\n%s\n@@CROSSOVER@@\n%s\n' "$raw" "$shraw" "$c16raw" "$ovraw" 
 awk -v out="$OUT" -v sweep="$sweep" -v base="$BASELINE_S" '
 	/^BenchmarkEngineTransposeIndexed/   { idx = $3; idx_allocs = $7 }
 	/^BenchmarkEngineTransposeReference/ { ref = $3; ref_allocs = $7 }
-	/^BenchmarkEngineCube10Sharded/      { shard = $3 }
-	/^BenchmarkEngineCube10Serial/       { serial = $3 }
+	/^BenchmarkEngineCube12Sharded/      { shard = $3 }
+	/^BenchmarkEngineCube12Serial/       { serial = $3 }
 	/^BenchmarkEngineCube16SBnT/ {
 		c16 = $3
 		for (i = 2; i <= NF; i++) if ($i == "bytes/node") bpn = $(i - 1)
@@ -109,8 +114,8 @@ awk -v out="$OUT" -v sweep="$sweep" -v base="$BASELINE_S" '
 		printf "  \"reference_ns_per_op\": %s,\n", ref >> out
 		printf "  \"reference_allocs_per_op\": %s,\n", ref_allocs >> out
 		printf "  \"scheduler_speedup\": %.2f,\n", ref / idx >> out
-		printf "  \"cube10_sharded_ns_per_op\": %s,\n", shard >> out
-		printf "  \"cube10_serial_ns_per_op\": %s,\n", serial >> out
+		printf "  \"cube12_sharded_ns_per_op\": %s,\n", shard >> out
+		printf "  \"cube12_serial_ns_per_op\": %s,\n", serial >> out
 		printf "  \"sharded_speedup\": %.2f,\n", serial / shard >> out
 		printf "  \"cube16_ns_per_op\": %s,\n", c16 >> out
 		printf "  \"bytes_per_node\": %s,\n", bpn >> out

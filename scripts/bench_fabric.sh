@@ -6,12 +6,14 @@
 # the machine model predicts the transpose costs); the livenet row is a
 # real 256-goroutine transpose measured wall-clock. Emits BENCH_fabric.json
 # in the repository root.
+#
+# Usage: scripts/bench_fabric.sh [out.json] (default BENCH_fabric.json).
 set -eu
 
 cd "$(dirname "$0")/.."
 
 COUNT="${BENCH_COUNT:-10x}"
-OUT=BENCH_fabric.json
+OUT="${1:-BENCH_fabric.json}"
 
 raw=$(go test -run '^$' -bench 'BenchmarkFabricSimnet8Cube$|BenchmarkFabricLivenet8Cube$' \
 	-benchtime "$COUNT" .)

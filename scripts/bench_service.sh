@@ -3,12 +3,14 @@
 # through one shared 6-cube fabric (throughput + latency percentiles), and
 # the identical-request burst with batching on vs off (the batching
 # speedup). Emits BENCH_service.json in the repository root.
+#
+# Usage: scripts/bench_service.sh [out.json] (default BENCH_service.json).
 set -eu
 
 cd "$(dirname "$0")/.."
 
 COUNT="${BENCH_COUNT:-10x}"
-OUT=BENCH_service.json
+OUT="${1:-BENCH_service.json}"
 
 raw=$(go test -run '^$' \
 	-bench 'BenchmarkServiceSweep$|BenchmarkServiceBatchedIdentical$|BenchmarkServiceUnbatchedIdentical$' \

@@ -5,6 +5,11 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# The bench smokes below write their 1x JSON here and the gates read it
+# back, so a gate run never overwrites the committed BENCH_*.json record.
+smoke=$(mktemp -d)
+trap 'rm -rf "$smoke"' EXIT
+
 echo "==> go build ./..."
 go build ./...
 
@@ -70,60 +75,61 @@ go test -run '^$' -bench 'BenchmarkTransposeOneShot$|BenchmarkTransposeCompiled$
 echo "==> go test -run TestCube12ShardedSmoke (12-cube sharded smoke)"
 go test -run 'TestCube12ShardedSmoke' -count=1 ./internal/simnet/
 
-# Engine bench smoke: regenerate BENCH_engine.json (scheduler pair, sharded
-# pair, 16-cube scale row, crossover rows, sweep wall-clock) and gate on the
-# indexed scheduler not regressing below the linear-scan reference and the
-# sharded scheduler not regressing below the serial one.
+# Engine bench smoke: the BENCH_engine.json rows (scheduler pair, sharded
+# pair, 16-cube scale row, crossover rows, sweep wall-clock) into a temp
+# file, gated on the indexed scheduler not regressing below the linear-scan
+# reference and the sharded scheduler (12-cube, P=2) not regressing below
+# the serial one.
 echo "==> scripts/bench_engine.sh (BENCH_COUNT=1x smoke)"
-BENCH_COUNT=1x CUBE16_COUNT=1x ./scripts/bench_engine.sh
+BENCH_COUNT=1x CUBE16_COUNT=1x ./scripts/bench_engine.sh "$smoke/engine.json"
 awk -F'[:,]' '/"scheduler_speedup"/ {
 	if ($2 + 0 < 1.0) {
 		printf "check: scheduler speedup %.2f below 1.0x — indexed scheduler regressed\n", $2 > "/dev/stderr"
 		exit 1
 	}
 	printf "check: scheduler speedup %.2fx (>= 1.0x gate)\n", $2
-}' BENCH_engine.json
+}' "$smoke/engine.json"
 awk -F'[:,]' '/"sharded_speedup"/ {
 	if ($2 + 0 < 1.0) {
 		printf "check: sharded speedup %.2f below 1.0x — epoch scheduler regressed\n", $2 > "/dev/stderr"
 		exit 1
 	}
 	printf "check: sharded speedup %.2fx (>= 1.0x gate)\n", $2
-}' BENCH_engine.json
+}' "$smoke/engine.json"
 awk '/"cube16_ns_per_op"/ { c16 = 1 } /"bytes_per_node"/ { bpn = 1 } /"cm_crossover"/ { xo = 1 }
 END {
 	if (!c16 || !bpn || !xo) {
-		print "check: BENCH_engine.json missing 16-cube scale row or crossover rows" > "/dev/stderr"
+		print "check: engine bench missing 16-cube scale row or crossover rows" > "/dev/stderr"
 		exit 1
 	}
 	print "check: 16-cube row, bytes_per_node and cm_crossover rows present"
-}' BENCH_engine.json
+}' "$smoke/engine.json"
 awk -F'[:,]' '/"checkpoint_overhead_pct"/ {
 	if ($2 + 0 >= 3.0) {
 		printf "check: checkpoint overhead %.2f%% at or above the 3%% budget\n", $2 > "/dev/stderr"
 		exit 1
 	}
 	printf "check: checkpoint overhead %.2f%% (< 3%% gate)\n", $2
-}' BENCH_engine.json
+}' "$smoke/engine.json"
 
 # Smoke the service sweep: the multi-tenant scheduler under open-loop
 # Poisson load at three offered rates, every job verified element-exact.
 echo "==> experiments -exp service-sweep (6-cube smoke)"
 go run ./cmd/experiments -exp service-sweep >/dev/null
 
-# Service bench: regenerate BENCH_service.json (mixed-burst throughput and
-# latency percentiles, plus the identical-request batching pair) and gate
-# on batching actually beating the unbatched control — the core throughput
-# claim of the multi-tenant scheduler.
+# Service bench: the BENCH_service.json rows (mixed-burst throughput and
+# latency percentiles, plus the identical-request batching pair) into a
+# temp file, gated on batching actually beating the unbatched control —
+# the core throughput claim of the multi-tenant scheduler.
 echo "==> scripts/bench_service.sh (BENCH_COUNT=1x smoke)"
-BENCH_COUNT=1x ./scripts/bench_service.sh
+BENCH_COUNT=1x ./scripts/bench_service.sh "$smoke/service.json"
 awk -F'[:,]' '/"batched_speedup"/ {
 	if ($2 + 0 <= 1.0) {
 		printf "check: batching speedup %.2fx not above 1.0x — batched rounds regressed\n", $2 > "/dev/stderr"
 		exit 1
 	}
 	printf "check: batching speedup %.2fx (> 1.0x gate)\n", $2
-}' BENCH_service.json
+}' "$smoke/service.json"
 
 # Backend parity smoke: the same compiled plans replayed on the simnet
 # simulation and the livenet goroutine transport must agree element-exactly
@@ -131,13 +137,13 @@ awk -F'[:,]' '/"batched_speedup"/ {
 echo "==> go test -run TestBackendParity -short (backend parity smoke)"
 go test -run 'TestBackendParity' -short -count=1 .
 
-# Fabric bench: regenerate BENCH_fabric.json (simnet host + virtual time vs
-# livenet wall-clock on the compiled 8-cube SBnT plan) and gate on the
-# artifact existing — a PR must not land without the backend comparison.
+# Fabric bench: the BENCH_fabric.json rows (simnet host + virtual time vs
+# livenet wall-clock on the compiled 8-cube SBnT plan) into a temp file,
+# gated on the comparison being produced.
 echo "==> scripts/bench_fabric.sh (BENCH_COUNT=1x smoke)"
-BENCH_COUNT=1x ./scripts/bench_fabric.sh
-test -s BENCH_fabric.json || {
-	echo "check: BENCH_fabric.json missing or empty" >&2
+BENCH_COUNT=1x ./scripts/bench_fabric.sh "$smoke/fabric.json"
+test -s "$smoke/fabric.json" || {
+	echo "check: fabric bench produced no output" >&2
 	exit 1
 }
 
